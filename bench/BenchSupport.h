@@ -13,6 +13,8 @@
 /// per-benchmark user counters — and therefore in the JSON emitted via
 /// `--benchmark_out=BENCH_*.json`, giving each wall-time point its
 /// event-count context. A full text report also goes to stderr at exit.
+/// A run in which no benchmark matched the filter exits non-zero, so a
+/// stale --benchmark_filter fails loudly instead of passing vacuously.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,11 +88,15 @@ inline void exportObsCounters(benchmark::State &State) {
     if (::benchmark::ReportUnrecognizedArguments(argc, argv))               \
       return 1;                                                             \
     ::benchmark::AddCustomContext("swa_build_type", SWA_BENCH_BUILD_TYPE);  \
-    ::benchmark::RunSpecifiedBenchmarks();                                  \
+    size_t Ran = ::benchmark::RunSpecifiedBenchmarks();                     \
     ::benchmark::Shutdown();                                                \
     if (swa::obs::enabled()) {                                              \
       std::cerr << "--- observability report (--metrics) ---\n";            \
       swa::obs::report(std::cerr, false);                                   \
+    }                                                                       \
+    if (Ran == 0) {                                                         \
+      std::cerr << "error: no benchmark matched the filter\n";              \
+      return 1;                                                             \
     }                                                                       \
     return 0;                                                               \
   }                                                                         \

@@ -84,7 +84,7 @@ BENCHMARK(BM_SearchAtUtilization)
     ->UseRealTime()
     ->Iterations(1);
 
-// The acceleration headline: an unschedulable-heavy, message-free
+// The early-exit headline: an unschedulable-heavy, message-free
 // workload (every candidate decomposes per core group; every candidate
 // fails, and fails early). Construction: four "big" partitions need 11
 // window ticks per 20-tick frame (a cost-10 period-20 task plus a
@@ -94,12 +94,11 @@ BENCHMARK(BM_SearchAtUtilization)
 // big partition needs >= 21 of the frame's 20 ticks, and there are more
 // bigs than cores can avoid — so every reachable binding is
 // unschedulable with its first deadline miss at t <= 40, a factor 500
-// before the hyperperiod. That is the regime the acceleration layers
-// target: early exit stops at the miss, the per-core chains inherit it
-// as a horizon cap, and revisited layouts hit the verdict cache. Arg 0
-// toggles all three layers against the plain full-run search; both rows
-// execute the identical candidate sequence, so candidates_per_sec is a
-// like-for-like throughput comparison.
+// before the hyperperiod. That is the regime the search's evaluation
+// path targets: early exit stops every component at its miss, and
+// revisited layouts hit the verdict cache. Arg 0 is the worker count;
+// both rows execute the identical candidate sequence, so
+// candidates_per_sec is a like-for-like throughput comparison.
 static cfg::Config packedUnschedulableConfig() {
   cfg::Config Base;
   Base.Name = "packed-unschedulable";
@@ -124,8 +123,7 @@ static cfg::Config packedUnschedulableConfig() {
 }
 
 static void BM_SearchUnschedulable(benchmark::State &State) {
-  bool Layers = State.range(0) != 0;
-  int Workers = static_cast<int>(State.range(1));
+  int Workers = static_cast<int>(State.range(0));
   cfg::Config Base = packedUnschedulableConfig();
 
   int64_t TotalEvaluated = 0;
@@ -136,9 +134,6 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
     Problem.Seed = 29;
     Problem.MaxIterations = 60;
     Problem.Workers = Workers;
-    Problem.UseVerdictCache = Layers;
-    Problem.UseEarlyExit = Layers;
-    Problem.UseDecomposition = Layers;
     Result<schedtool::SearchResult> Res =
         schedtool::searchConfiguration(Problem);
     if (!Res.ok()) {
@@ -151,7 +146,6 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
     Dups += Res->DuplicateCandidates;
     Decomposed += Res->DecomposedCandidates;
   }
-  State.counters["layers"] = Layers ? 1 : 0;
   State.counters["workers"] = Workers;
   State.counters["candidates_per_sec"] = benchmark::Counter(
       static_cast<double>(TotalEvaluated), benchmark::Counter::kIsRate);
@@ -164,7 +158,8 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
   swa::benchsupport::exportObsCounters(State);
 }
 BENCHMARK(BM_SearchUnschedulable)
-    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);
@@ -180,13 +175,11 @@ BENCHMARK(BM_SearchUnschedulable)
 // so no boost assignment the search reaches is schedulable — seed 27
 // runs all 120 rounds without a find, with first misses at t = L/2 or
 // t = L. A boost resample dirties one core's component and leaves the
-// other three byte-identical to the round base, so with the incremental
-// layers on most components replay from the component cache (the hit
-// rate climbs toward ~50% as the neighborhood revisits window splits)
-// and the rest rebind an arena instance instead of rebuilding. Arg 0
-// toggles the three incremental layers (component cache, dirty
-// tracking, instance reuse) with the older layers on in both rows:
-// identical candidate sequence, like-for-like candidates_per_sec.
+// other three byte-identical to the round base, so most components
+// replay from the verdict cache (the hit rate climbs toward ~50% as the
+// neighborhood revisits window splits) and the rest rebind an arena
+// instance instead of rebuilding. Arg 0 is the worker count: identical
+// candidate sequence, like-for-like candidates_per_sec.
 static cfg::Config neighborhoodConfig() {
   gen::IndustrialParams Params;
   Params.Modules = 2;
@@ -204,8 +197,7 @@ static cfg::Config neighborhoodConfig() {
 }
 
 static void BM_SearchNeighborhood(benchmark::State &State) {
-  bool Incremental = State.range(0) != 0;
-  int Workers = static_cast<int>(State.range(1));
+  int Workers = static_cast<int>(State.range(0));
   cfg::Config Base = neighborhoodConfig();
 
   int64_t TotalEvaluated = 0;
@@ -216,9 +208,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     Problem.Seed = 41;
     Problem.MaxIterations = 120;
     Problem.Workers = Workers;
-    Problem.UseComponentCache = Incremental;
-    Problem.UseDirtyTracking = Incremental;
-    Problem.UseInstanceReuse = Incremental;
     Result<schedtool::SearchResult> Res =
         schedtool::searchConfiguration(Problem);
     if (!Res.ok()) {
@@ -232,7 +221,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     Clean += Res->CleanComponentsReused;
     Sims += Res->ComponentsSimulated;
   }
-  State.counters["incremental"] = Incremental ? 1 : 0;
   State.counters["workers"] = Workers;
   State.counters["candidates_per_sec"] = benchmark::Counter(
       static_cast<double>(TotalEvaluated), benchmark::Counter::kIsRate);
@@ -250,7 +238,8 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
   swa::benchsupport::exportObsCounters(State);
 }
 BENCHMARK(BM_SearchNeighborhood)
-    ->ArgsProduct({{0, 1}, {1, 2}})
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

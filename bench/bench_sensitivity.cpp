@@ -97,44 +97,6 @@ BENCHMARK(BM_Sensitivity)
     ->UseRealTime()
     ->Iterations(1);
 
-// Ablation: the naive oracle (full-horizon runs, fresh model per probe;
-// arg 0 = 0) against the accelerated one (first-miss early exit +
-// shape-keyed arena reuse; arg 0 = 1). Probe counts and the
-// SensitivityResult are identical — early-exit verdicts are exact and
-// the arena fully resets per run — so the wall-time ratio is pure
-// engine saving.
-static void BM_SensitivityAblation(benchmark::State &State) {
-  bool Accelerated = State.range(0) != 0;
-  cfg::Config Config = sensitivityConfig();
-
-  int Probes = 0;
-  int64_t TotalProbes = 0;
-  for (auto _ : State) {
-    analysis::SensitivityOptions Opts;
-    Opts.UseEarlyExit = Accelerated;
-    Opts.UseInstanceReuse = Accelerated;
-    Result<analysis::SensitivityResult> Res =
-        analysis::analyzeSensitivity(Config, Opts);
-    if (!Res.ok()) {
-      State.SkipWithError(Res.error().message().c_str());
-      return;
-    }
-    Probes = Res->TotalProbes;
-    TotalProbes += Res->TotalProbes;
-  }
-  State.counters["probes"] = Probes;
-  State.counters["accelerated"] = Accelerated ? 1 : 0;
-  State.counters["probes_per_sec"] = benchmark::Counter(
-      static_cast<double>(TotalProbes), benchmark::Counter::kIsRate);
-  swa::benchsupport::exportObsCounters(State);
-}
-BENCHMARK(BM_SensitivityAblation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
 // The warm-cache regime: a caller-owned VerdictCache shared across
 // analyses (arg 0 = 1) against a cold per-call cache (arg 0 = 0). Warm,
 // every probe is a fingerprint lookup — the floor for re-asking the same

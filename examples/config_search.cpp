@@ -9,8 +9,6 @@
 // uses the stopwatch-automata model as its schedulability oracle.
 //
 //   $ ./config_search [seed] [--workers N] [--budget-ms MS]
-//                     [--no-cache] [--no-early-exit] [--no-decompose]
-//                     [--no-component-cache] [--no-incremental]
 //                     [--checkpoint FILE] [--checkpoint-every-ms MS]
 //                     [--resume] [--trace-out FILE] [--report-out FILE]
 //                     [--strategy NAME]
@@ -21,15 +19,12 @@
 // --workers evaluates candidate batches on N threads; the result is
 // byte-identical for every N. --budget-ms caps each candidate's
 // simulation wall-clock time: a candidate that exceeds it is logged as
-// skipped and the search keeps going. The --no-* flags switch off the
-// acceleration layers (verdict memoization, first-miss early exit,
-// per-core compositional evaluation, component-verdict memoization, and
-// — via --no-incremental — both mutation-driven dirty tracking and NSA
-// instance reuse); the verdict stream is identical either way, only the
-// cost changes. --trace-out records per-candidate /
-// per-component spans and writes a chrome://tracing (Perfetto) timeline;
-// --report-out writes a machine-readable obs::RunReport JSON. Both turn
-// observability on; neither changes the search result.
+// skipped and the search keeps going. Any other argument that is not a
+// non-negative integer seed is rejected with the usage text (exit 2).
+// --trace-out records per-candidate / per-simulation spans and writes a
+// chrome://tracing (Perfetto) timeline; --report-out writes a
+// machine-readable obs::RunReport JSON. Both turn observability on;
+// neither changes the search result.
 //
 // --checkpoint makes the search durable: it writes an atomic snapshot of
 // the verdict cache and loop state to FILE at round boundaries (every
@@ -93,6 +88,28 @@ static void printChosen(const schedtool::SearchResult &Res) {
   }
 }
 
+static const char kUsage[] =
+    "usage: config_search [seed] [--workers N] [--budget-ms MS]\n"
+    "                     [--checkpoint FILE] [--checkpoint-every-ms MS]\n"
+    "                     [--resume] [--trace-out FILE] [--report-out FILE]\n"
+    "                     [--strategy NAME]\n"
+    "                     [--fleet N] [--portfolio S1,S2,..] "
+    "[--fleet-dir DIR]\n"
+    "                     [--fleet-threads N] [--fleet-fallback-ms MS]\n"
+    "                     [--fleet-in-process]\n";
+
+// The positional seed: a non-negative decimal integer, nothing else.
+static bool parseSeed(const char *Arg, uint64_t &Seed) {
+  if (*Arg < '0' || *Arg > '9')
+    return false;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Arg, &End, 10);
+  if (*End != '\0')
+    return false;
+  Seed = V;
+  return true;
+}
+
 int main(int argc, char **argv) {
   // Fleet-worker dispatch: when the coordinator spawned us, run the
   // assigned shard and nothing else (the manifest carries the problem).
@@ -112,8 +129,6 @@ int main(int argc, char **argv) {
   uint64_t Seed = 7;
   int Workers = 1;
   int64_t BudgetMs = -1;
-  bool UseCache = true, UseEarlyExit = true, UseDecompose = true;
-  bool UseComponentCache = true, UseIncremental = true;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   const char *CheckpointPath = nullptr;
   int64_t CheckpointEveryMs = 0;
@@ -130,16 +145,6 @@ int main(int argc, char **argv) {
       Workers = std::atoi(argv[++I]);
     else if (std::strcmp(argv[I], "--budget-ms") == 0 && I + 1 < argc)
       BudgetMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--no-cache") == 0)
-      UseCache = false;
-    else if (std::strcmp(argv[I], "--no-early-exit") == 0)
-      UseEarlyExit = false;
-    else if (std::strcmp(argv[I], "--no-decompose") == 0)
-      UseDecompose = false;
-    else if (std::strcmp(argv[I], "--no-component-cache") == 0)
-      UseComponentCache = false;
-    else if (std::strcmp(argv[I], "--no-incremental") == 0)
-      UseIncremental = false;
     else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc)
       CheckpointPath = argv[++I];
     else if (std::strcmp(argv[I], "--checkpoint-every-ms") == 0 &&
@@ -174,8 +179,11 @@ int main(int argc, char **argv) {
       FleetFallbackMs = std::strtoll(argv[++I], nullptr, 10);
     else if (std::strcmp(argv[I], "--fleet-in-process") == 0)
       FleetInProcess = true;
-    else
-      Seed = std::strtoull(argv[I], nullptr, 10);
+    else if (!parseSeed(argv[I], Seed)) {
+      std::fprintf(stderr, "error: unrecognized argument '%s'\n%s", argv[I],
+                   kUsage);
+      return 2;
+    }
   }
 
   if (TraceOut || ReportOut)
@@ -208,12 +216,6 @@ int main(int argc, char **argv) {
   Problem.MaxIterations = 40;
   Problem.Workers = Workers;
   Problem.CandidateBudgetMs = BudgetMs;
-  Problem.UseVerdictCache = UseCache;
-  Problem.UseEarlyExit = UseEarlyExit;
-  Problem.UseDecomposition = UseDecompose;
-  Problem.UseComponentCache = UseComponentCache;
-  Problem.UseDirtyTracking = UseIncremental;
-  Problem.UseInstanceReuse = UseIncremental;
 
   std::unique_ptr<schedtool::Strategy> Strat;
   if (!StrategyName.empty()) {
@@ -304,10 +306,9 @@ int main(int argc, char **argv) {
     if (S.ok()) {
       Loaded = S.takeValue();
       Problem.Resume = &Loaded;
-      std::printf("resume: loaded %s (%zu config / %zu component entries, "
-                  "%s search state)\n",
-                  CheckpointPath, Loaded.ConfigEntries.size(),
-                  Loaded.ComponentEntries.size(),
+      std::printf("resume: loaded %s (%zu cache entries, %s search "
+                  "state)\n",
+                  CheckpointPath, Loaded.ComponentEntries.size(),
                   Loaded.HasSearchState ? "with" : "no");
     } else {
       std::fprintf(stderr, "resume: %s [%s] -- starting cold\n",
@@ -346,33 +347,19 @@ int main(int argc, char **argv) {
               Res->ConfigurationsEvaluated, Res->CandidatesSkipped,
               Res->Found ? "found a schedulable one"
                          : "no schedulable configuration found");
-  if (UseCache)
-    std::printf("cache: %d hits / %d misses (%d symmetry folds, %d "
-                "intra-batch duplicates)\n",
-                Res->CacheHits, Res->CacheMisses, Res->SymmetryFolds,
-                Res->DuplicateCandidates);
-  if (UseDecompose)
-    std::printf("decomposition: %d candidates split into %d components "
-                "(%d monolithic simulations)\n",
-                Res->DecomposedCandidates, Res->ComponentsSimulated,
-                Res->SimulationsRun);
-  if (UseDecompose && UseComponentCache) {
-    int Lookups = Res->ComponentCacheHits + Res->ComponentCacheMisses;
-    std::printf("component cache: %d hits / %d misses (%.0f%% hit rate, "
-                "%d unique sims)\n",
-                Res->ComponentCacheHits, Res->ComponentCacheMisses,
-                Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups
-                            : 0.0,
-                Res->ComponentsSimulated);
-  }
-  if (UseDecompose && UseIncremental) {
-    int Planned = Res->DirtyComponents + Res->CleanComponentsReused;
-    std::printf("incremental: %d dirty / %d clean components (%.0f%% "
-                "dirty)\n",
-                Res->DirtyComponents, Res->CleanComponentsReused,
-                Planned > 0 ? 100.0 * Res->DirtyComponents / Planned
-                            : 0.0);
-  }
+  std::printf("cache: %d hits / %d misses (%d symmetry folds, %d "
+              "intra-batch duplicates)\n",
+              Res->CacheHits, Res->CacheMisses, Res->SymmetryFolds,
+              Res->DuplicateCandidates);
+  int Lookups = Res->ComponentCacheHits + Res->ComponentCacheMisses;
+  std::printf("components: %d candidates decomposed; %d hits / %d misses "
+              "(%.0f%% hit rate); %d dirty / %d clean\n",
+              Res->DecomposedCandidates, Res->ComponentCacheHits,
+              Res->ComponentCacheMisses,
+              Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups : 0.0,
+              Res->DirtyComponents, Res->CleanComponentsReused);
+  std::printf("simulations: %d components + %d whole configs\n",
+              Res->ComponentsSimulated, Res->SimulationsRun);
   if (CheckpointPath) {
     std::printf("checkpoint: %llu snapshots written (%llu bytes), %llu "
                 "loaded (%llu bytes), %llu entries merged, %llu warm hits\n",
@@ -381,7 +368,6 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(CkptStats.SnapshotsLoaded),
                 static_cast<unsigned long long>(CkptStats.BytesLoaded),
                 static_cast<unsigned long long>(
-                    CkptStats.ConfigEntriesMerged +
                     CkptStats.ComponentEntriesMerged),
                 static_cast<unsigned long long>(CkptStats.SnapshotHits));
     if (CkptStats.WriteFailures > 0)

@@ -114,8 +114,8 @@ struct ComponentVerdict {
 /// Merges per-component verdicts back into the verdict the monolithic
 /// simulation of the original configuration would produce (components are
 /// independent — no messages cross them — so their traces interleave
-/// without interaction; see DESIGN.md, "Search-side caching, early exit &
-/// decomposition"). \p TotalTasks is the original config's task count.
+/// without interaction; see DESIGN.md, "Search evaluation path").
+/// \p TotalTasks is the original config's task count.
 ///
 /// Merge rules: an undecided component (guard-rail stop) makes the whole
 /// verdict undecided with that component's StopReason; otherwise

@@ -87,11 +87,11 @@ namespace {
 enum class Probe { Pass, Fail, Undecided };
 
 /// One query's oracle frontend: validates, consults the shared verdict
-/// cache, and simulates on a miss (optionally through a per-query model
-/// arena, so same-shape probes — offset shifts — rebind instead of
-/// rebuilding). Guard-rail stops, cancellation and the probe cap latch
-/// Aborted; a model error latches Error. Both make every later probe
-/// Undecided, so a query winds down instead of looping.
+/// cache, and simulates on a miss through a per-query model arena, so
+/// same-shape probes — offset shifts — rebind instead of rebuilding.
+/// Guard-rail stops, cancellation and the probe cap latch Aborted; a
+/// model error latches Error. Both make every later probe Undecided, so
+/// a query winds down instead of looping.
 struct ProbeEngine {
   const SensitivityOptions &Opts;
   schedtool::VerdictCache &Cache;
@@ -138,20 +138,24 @@ struct ProbeEngine {
         InvalidC->add(1);
       return Probe::Fail;
     }
+    // A whole config is the one-component case of the search's cache:
+    // fingerprintConfig is its key at its own hyperperiod.
     cfg::Fingerprint Canon = cfg::fingerprintConfig(C);
-    if (const schedtool::VerdictCache::Entry *E = Cache.lookup(Canon)) {
+    if (const schedtool::VerdictCache::ComponentEntry *E =
+            Cache.lookupComponent(Canon)) {
       if (HitC)
         HitC->add(1);
       return E->Verdict.Schedulable ? Probe::Pass : Probe::Fail;
     }
     if (MissC)
       MissC->add(1);
+    // First-miss verdicts are exact (the EarlyExitVsFull oracle
+    // contract), so the early exit is pure speed.
     nsa::SimOptions SO;
-    SO.StopOnFirstMiss = Opts.UseEarlyExit;
+    SO.StopOnFirstMiss = true;
     SO.WallClockBudgetMs = Opts.ProbeBudgetMs;
     SO.Cancel = Opts.Cancel;
-    Result<VerdictOutcome> Out = analyzeVerdictOnly(
-        C, SO, Opts.UseInstanceReuse ? &Arena : nullptr);
+    Result<VerdictOutcome> Out = analyzeVerdictOnly(C, SO, &Arena);
     if (!Out.ok()) {
       ErrMsg = Out.error().message();
       return Probe::Undecided;
@@ -160,8 +164,8 @@ struct ProbeEngine {
       Aborted = true;
       return Probe::Undecided;
     }
-    Cache.insert(Canon, cfg::fingerprintConfig(C, /*CanonicalizeCores=*/false),
-                 *Out);
+    Cache.insertComponent(
+        Canon, cfg::fingerprintConfig(C, /*CanonicalizeCores=*/false), *Out);
     return Out->Schedulable ? Probe::Pass : Probe::Fail;
   }
 };

@@ -103,13 +103,6 @@ struct SensitivityOptions {
   int64_t ProbeBudgetMs = -1;
   /// Cooperative cancellation, polled before every probe.
   const CancelToken *Cancel = nullptr;
-  /// Stop probe simulations at the first deadline miss. First-miss
-  /// verdicts are exact (the EarlyExitVsFull oracle contract), so this is
-  /// pure speed.
-  bool UseEarlyExit = true;
-  /// Reuse NSA instances across same-shape probes (offset probes) via a
-  /// per-query analysis::ModelArena.
-  bool UseInstanceReuse = true;
   /// Optional caller-shared verdict cache (e.g. across repeated queries or
   /// with a surrounding search). Null uses a private per-call cache.
   schedtool::VerdictCache *Cache = nullptr;

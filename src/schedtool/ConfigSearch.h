@@ -67,67 +67,16 @@ struct SearchProblem {
   /// and passed to every candidate simulation, so an in-flight batch winds
   /// down quickly.
   const CancelToken *Cancel = nullptr;
-  /// Memoize verdicts under the canonical structural fingerprint
-  /// (cfg::fingerprintConfig): revisited and symmetry-equivalent
-  /// candidates skip the simulation. Hits are observationally identical
-  /// to re-evaluation — the SearchResult is byte-identical with the cache
-  /// on or off, for any Workers/BatchSize (the cache is consulted and
-  /// filled only on the serial reduce path).
-  bool UseVerdictCache = true;
-  /// Stop each candidate simulation at the first deadline miss
-  /// (nsa::SimOptions::StopOnFirstMiss) instead of running to the
-  /// hyperperiod. The verdict, badness and adaptive move are derived
-  /// from first-miss data that a full run computes identically.
-  bool UseEarlyExit = true;
-  /// Split candidates along the inter-core message graph
-  /// (cfg::decomposeConfig) and simulate the independent components as
-  /// separate, smaller NSA instances — in parallel across the worker
-  /// pool — then merge (analysis::mergeComponentVerdicts). Candidates
-  /// that do not decompose fall back to the monolithic run.
-  bool UseDecomposition = true;
-  /// Memoize *component* verdicts under cfg::fingerprintComponent (the
-  /// second cache level): a mutation dirties one or two components, and
-  /// every clean component's verdict replays from the cache — a
-  /// candidate whose components all hit never constructs a simulator.
-  /// Missing components are simulated once per distinct fingerprint per
-  /// round (full horizon, so the verdict is cap-free and cacheable) and
-  /// shared by every candidate in the batch that needs them. Like the
-  /// whole-config cache, lookups and fills ride the serial path only, so
-  /// the hit pattern — and the SearchResult — is Workers-independent.
-  /// No effect unless UseDecomposition is on.
-  bool UseComponentCache = true;
-  /// Derive each candidate's component structure incrementally from the
-  /// mutation delta instead of re-running the union-find and
-  /// re-materializing every sub-config per candidate: message groups are
-  /// computed once per search (mutations never touch messages), the
-  /// round's base decomposition once per round, and only components
-  /// containing a mutated core are re-materialized — clean components
-  /// reuse the base round's sub-configs (and their fingerprints)
-  /// outright. Produces byte-identical components to
-  /// cfg::decomposeConfig, so every SearchResult field except the
-  /// DirtyComponents/CleanComponentsReused counters (and their log line)
-  /// is identical with the flag on or off. No effect unless
-  /// UseDecomposition is on.
-  bool UseDirtyTracking = true;
-  /// Reuse NSA instances across candidates: each worker leases an arena
-  /// of built models keyed by cfg::fingerprintShape and retargets a
-  /// same-shape model by patching its CoreScheduler window tables
-  /// (core::rebindWindows) instead of rebuilding — Algorithm 1 drops out
-  /// of the steady-state per-candidate cost. Verdicts are identical with
-  /// the flag on or off (the simulator fully resets per run), and no
-  /// SearchResult field depends on arena state, so flipping this flag
-  /// alone never changes the result byte-wise.
-  bool UseInstanceReuse = true;
   /// Durable search (schedtool/Snapshot.h). When non-empty, the search
   /// checkpoints to this path at round boundaries — atomically (see
   /// support::AtomicFile), so a crash at any instant leaves the previous
-  /// checkpoint intact. A checkpoint captures the verdict cache (both
-  /// levels) and the full loop state; resuming from it replays the
-  /// remaining rounds exactly, so a search killed at any checkpoint and
-  /// resumed produces a SearchResult byte-identical to the uninterrupted
-  /// run, for any Workers value and any acceleration-layer mask. A
-  /// checkpoint *write* failure is recorded in CkptStats and the search
-  /// continues unchanged: durability is best-effort, results are not.
+  /// checkpoint intact. A checkpoint captures the verdict cache and the
+  /// full loop state; resuming from it replays the remaining rounds
+  /// exactly, so a search killed at any checkpoint and resumed produces a
+  /// SearchResult byte-identical to the uninterrupted run, for any
+  /// Workers value. A checkpoint *write* failure is recorded in CkptStats
+  /// and the search continues unchanged: durability is best-effort,
+  /// results are not.
   std::string CheckpointPath;
   /// Minimum milliseconds between periodic checkpoints; 0 writes one at
   /// every round boundary. The terminal flush (found / iterations
@@ -156,11 +105,11 @@ struct SearchProblem {
   /// under a different strategy is a typed SnapshotMismatch.
   Strategy *Strat = nullptr;
   /// Fleet verdict exchange (Exchange.h); null = single-process search.
-  /// In Shard mode the worker simulates only the work items it owns and
-  /// adopts the rest from peers' publications (recomputing any item a
-  /// peer has not published within Exchange::FallbackMs, so a dead shard
-  /// only costs time); in Share mode it consults peers before simulating
-  /// each item. Either way the SearchResult is byte-identical to the
+  /// In Shard mode the worker runs only the simulations it owns and
+  /// adopts the rest from peers' publications (recomputing any a peer
+  /// has not published within Exchange::FallbackMs, so a dead shard only
+  /// costs time); in Share mode it consults peers before each
+  /// simulation. Either way the SearchResult is byte-identical to the
   /// exchange-free run: a fetched verdict equals what the deterministic
   /// simulator would compute, and every SearchResult statistic is a
   /// serial-path fact fixed before execution begins.
@@ -192,38 +141,41 @@ struct SearchResult {
   int CandidatesSkipped = 0;
   /// The search stopped because SearchProblem::Cancel fired.
   bool Cancelled = false;
-  /// Verdict-cache statistics (all zero when UseVerdictCache is off).
-  /// Hits + Misses == cache lookups (one per valid, non-duplicate
-  /// candidate); SymmetryFolds counts the hits that only exist because of
-  /// core-relabeling canonicalization and DuplicateCandidates the
-  /// intra-batch fingerprint collisions resolved without a lookup.
+  /// Evaluation statistics. Every valid candidate is a list of
+  /// components — its message-graph components, or the whole config as
+  /// one component at its own hyperperiod when it does not decompose —
+  /// resolved against one verdict cache (VerdictCache.h). All counts are
+  /// serial-path facts, identical for any Workers value.
+  ///
+  /// Candidates: DuplicateCandidates repeat the component key list of an
+  /// earlier candidate of the same batch and copy its verdict without a
+  /// lookup. Every other valid candidate is a CacheHit (every component
+  /// served by the cache — for a whole-config candidate, a revisit or a
+  /// symmetric relabeling of an earlier one) or a CacheMiss (at least one
+  /// component needed a simulation). SymmetryFolds counts the hits that
+  /// only exist because of core-relabeling canonicalization.
   int CacheHits = 0;
   int CacheMisses = 0;
   int SymmetryFolds = 0;
   int DuplicateCandidates = 0;
-  /// Compositional-evaluation statistics (zero when UseDecomposition is
-  /// off): candidates that split, and component NSA instances *actually
-  /// simulated* for them — with UseComponentCache on, component-cache
-  /// hits and intra-round duplicate components are excluded, so the
-  /// count can be far below DecomposedCandidates times the component
-  /// count.
+  /// Non-duplicate candidates that split into two or more components.
+  /// The component statistics below count only their components: cache
+  /// hits and misses (Hits + Misses is their total component count), and
+  /// the components re-materialized because a mutation touched one of
+  /// their cores (Dirty) or reused verbatim from the round's base
+  /// decomposition (Clean); Hits + Misses == Dirty + Clean.
   int DecomposedCandidates = 0;
-  int ComponentsSimulated = 0;
-  /// Component-cache statistics (zero unless UseComponentCache and
-  /// UseDecomposition are both on). Hits + Misses is the total component
-  /// count over decomposed candidates; Misses >= ComponentsSimulated
-  /// because intra-round duplicates are simulated once.
   int ComponentCacheHits = 0;
   int ComponentCacheMisses = 0;
-  /// Incremental-structure statistics (zero unless UseDirtyTracking and
-  /// UseDecomposition are both on): components re-materialized because a
-  /// mutation touched one of their cores, and components reused verbatim
-  /// from the round's base decomposition.
   int DirtyComponents = 0;
   int CleanComponentsReused = 0;
-  /// Monolithic simulations actually run (cache misses that did not
-  /// decompose). SimulationsRun + ComponentsSimulated is the number of
-  /// Simulator::run calls the search made.
+  /// Simulations actually run, once per distinct missing key per round:
+  /// ComponentsSimulated for components of decomposed candidates,
+  /// SimulationsRun for whole configs. SimulationsRun +
+  /// ComponentsSimulated is the number of Simulator::run calls the search
+  /// made (ComponentCacheMisses >= ComponentsSimulated, because a round
+  /// simulates each distinct component once).
+  int ComponentsSimulated = 0;
   int SimulationsRun = 0;
   /// How candidate evaluations ended, indexed by nsa::StopReason: decided
   /// candidates land on Completed/DeadlineMiss, guard-rail skips on
@@ -248,7 +200,7 @@ void synthesizeWindows(cfg::Config &Config,
 Result<SearchResult> searchConfiguration(const SearchProblem &Problem);
 
 /// Populates \p Report with the search outcome: evaluation counts, cache
-/// hit/miss/fold numbers and rates, decomposition stats, the StopReason
+/// hit/miss/fold numbers and rates, component stats, the StopReason
 /// taxonomy, and candidates/s when \p ElapsedSec is positive. The numbers
 /// are read from \p Res alone, so the report matches the stats the search
 /// prints whether or not observability was on.

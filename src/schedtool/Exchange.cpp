@@ -35,10 +35,10 @@ Error Exchange::init(std::string D, int ShardIndex, int ShardCount, Mode Md) {
 }
 
 void Exchange::publish() {
-  size_t NCfg = Out.size(), NComp = Out.componentSize();
+  size_t NEntries = Out.componentSize();
   // Nothing new since the last publication (or nothing at all): peers
   // treat a missing or stale file identically, so skipping is safe.
-  if (NCfg == PublishedCfg && NComp == PublishedComp)
+  if (NEntries == Published)
     return;
   Snapshot S;
   S.captureCache(Out);
@@ -49,8 +49,7 @@ void Exchange::publish() {
     return;
   }
   ++Stats.Publications;
-  PublishedCfg = NCfg;
-  PublishedComp = NComp;
+  Published = NEntries;
 }
 
 void Exchange::refresh() {
@@ -81,12 +80,6 @@ void Exchange::refresh() {
     P.MtimeNs = MtNs;
     P.Inode = static_cast<unsigned long long>(St.st_ino);
     ++Stats.PeerSnapshotsLoaded;
-    size_t C0 = In.size(), K0 = In.componentSize();
-    for (const Snapshot::CacheRecord &E : S->ConfigEntries)
-      In.insertSnapshot(E.Canon, E.Raw, E.Verdict);
-    for (const Snapshot::CacheRecord &E : S->ComponentEntries)
-      In.insertComponentSnapshot(E.Canon, E.Raw, E.Verdict);
-    Stats.ConfigEntriesFetched += In.size() - C0;
-    Stats.ComponentEntriesFetched += In.componentSize() - K0;
+    Stats.ComponentEntriesFetched += S->seedCache(In);
   }
 }

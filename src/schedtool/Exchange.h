@@ -30,7 +30,7 @@
 ///    different strategies); before executing a round's items it
 ///    consults the side cache, and an item whose verdict a peer already
 ///    published is adopted instead of simulated. Decided verdicts under
-///    the same fingerprint are interchangeable (the whole-config cache
+///    the same fingerprint are interchangeable (the verdict-cache
 ///    contract), so each worker's SearchResult is byte-identical to its
 ///    solo run — the exchange only moves wall-clock.
 ///
@@ -69,8 +69,7 @@ struct ExchangeStats {
   uint64_t Refreshes = 0;         ///< refresh() sweeps over peer files.
   uint64_t PeerSnapshotsLoaded = 0; ///< Changed peer publications loaded.
   uint64_t PeerLoadErrors = 0;    ///< Peer publications that failed to load.
-  uint64_t ConfigEntriesFetched = 0;    ///< New config verdicts adopted.
-  uint64_t ComponentEntriesFetched = 0; ///< New component verdicts adopted.
+  uint64_t ComponentEntriesFetched = 0; ///< New verdicts adopted.
   uint64_t ItemsOwned = 0;        ///< Work items this shard simulated as owner.
   uint64_t ItemsFetched = 0;      ///< Work items resolved from peers.
   uint64_t FallbackSimulations = 0; ///< Foreign items simulated locally.
@@ -106,15 +105,9 @@ public:
   /// locally (Shard mode), in milliseconds.
   int64_t FallbackMs = 2000;
 
-  /// Records a locally computed, decided config-level verdict for the
-  /// next publication. Undecided verdicts are rejected by the cache
-  /// itself (guard-rail stops are not facts about the config).
-  void recordConfig(const cfg::Fingerprint &Canon,
-                    const cfg::Fingerprint &Raw,
-                    const analysis::VerdictOutcome &V) {
-    Out.insert(Canon, Raw, V);
-  }
-  /// Component-level counterpart of recordConfig.
+  /// Records a locally computed, decided verdict for the next
+  /// publication. Undecided verdicts are rejected by the cache itself
+  /// (guard-rail stops are not facts about the component).
   void recordComponent(const cfg::Fingerprint &Canon,
                        const cfg::Fingerprint &Raw,
                        const analysis::VerdictOutcome &V) {
@@ -131,10 +124,7 @@ public:
   /// into the side cache. Serial-path only.
   void refresh();
 
-  /// Side-cache lookups; null when no peer published the key yet.
-  const VerdictCache::Entry *fetchConfig(const cfg::Fingerprint &Canon) const {
-    return In.lookup(Canon);
-  }
+  /// Side-cache lookup; null when no peer published the key yet.
   const VerdictCache::ComponentEntry *
   fetchComponent(const cfg::Fingerprint &Canon) const {
     return In.lookupComponent(Canon);
@@ -149,7 +139,7 @@ private:
   Mode M = Mode::Shard;
   VerdictCache Out; ///< Verdicts this worker computed (to publish).
   VerdictCache In;  ///< Verdicts adopted from peers (read-only side cache).
-  size_t PublishedCfg = 0, PublishedComp = 0;
+  size_t Published = 0;
   /// Per-peer change detection: (size, mtime ns, inode) of the last
   /// loaded publication. A rename-replace changes the inode even when
   /// size and timestamp collide.

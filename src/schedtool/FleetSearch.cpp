@@ -37,7 +37,9 @@ using namespace swa::schedtool;
 namespace {
 
 constexpr char kManifestMagic[8] = {'S', 'W', 'A', 'F', 'L', 'E', 'E', 'T'};
-constexpr uint32_t kManifestVersion = 1;
+// Version 2 dropped the six acceleration-layer flag bytes that followed
+// CandidateBudgetMs: the search has one evaluation path.
+constexpr uint32_t kManifestVersion = 2;
 
 struct FleetManifest {
   cfg::Config Base;
@@ -48,8 +50,6 @@ struct FleetManifest {
   int32_t Workers = 1;
   int32_t BatchSize = 4;
   int64_t CandidateBudgetMs = -1;
-  uint8_t UseVerdictCache = 1, UseEarlyExit = 1, UseDecomposition = 1,
-          UseComponentCache = 1, UseDirtyTracking = 1, UseInstanceReuse = 1;
   int32_t Shards = 1;
   uint8_t Portfolio = 0;
   int64_t FallbackMs = 2000;
@@ -156,12 +156,6 @@ Error writeManifest(const std::string &Dir, const FleetManifest &M) {
   putU32(Body, static_cast<uint32_t>(M.Workers));
   putU32(Body, static_cast<uint32_t>(M.BatchSize));
   putI64(Body, M.CandidateBudgetMs);
-  Body.push_back(static_cast<char>(M.UseVerdictCache));
-  Body.push_back(static_cast<char>(M.UseEarlyExit));
-  Body.push_back(static_cast<char>(M.UseDecomposition));
-  Body.push_back(static_cast<char>(M.UseComponentCache));
-  Body.push_back(static_cast<char>(M.UseDirtyTracking));
-  Body.push_back(static_cast<char>(M.UseInstanceReuse));
   putU32(Body, static_cast<uint32_t>(M.Shards));
   Body.push_back(static_cast<char>(M.Portfolio));
   putI64(Body, M.FallbackMs);
@@ -212,12 +206,6 @@ Error readManifest(const std::string &Dir, FleetManifest &M) {
   M.Workers = R.i32();
   M.BatchSize = R.i32();
   M.CandidateBudgetMs = R.i64();
-  M.UseVerdictCache = R.u8();
-  M.UseEarlyExit = R.u8();
-  M.UseDecomposition = R.u8();
-  M.UseComponentCache = R.u8();
-  M.UseDirtyTracking = R.u8();
-  M.UseInstanceReuse = R.u8();
   M.Shards = R.i32();
   M.Portfolio = R.u8();
   M.FallbackMs = R.i64();
@@ -283,12 +271,6 @@ Result<SearchResult> schedtool::runFleetShard(const std::string &Dir,
   P.Workers = M.Workers;
   P.BatchSize = M.BatchSize;
   P.CandidateBudgetMs = M.CandidateBudgetMs;
-  P.UseVerdictCache = M.UseVerdictCache != 0;
-  P.UseEarlyExit = M.UseEarlyExit != 0;
-  P.UseDecomposition = M.UseDecomposition != 0;
-  P.UseComponentCache = M.UseComponentCache != 0;
-  P.UseDirtyTracking = M.UseDirtyTracking != 0;
-  P.UseInstanceReuse = M.UseInstanceReuse != 0;
   P.Cancel = Cancel;
   P.CheckpointPath = ckptPath(Dir, Shard);
   P.CheckpointEveryMs = M.CheckpointEveryMs;
@@ -452,12 +434,6 @@ Result<FleetResult> schedtool::runFleetSearch(const FleetProblem &FP) {
   M.Workers = FP.Problem.Workers;
   M.BatchSize = FP.Problem.BatchSize;
   M.CandidateBudgetMs = FP.Problem.CandidateBudgetMs;
-  M.UseVerdictCache = FP.Problem.UseVerdictCache;
-  M.UseEarlyExit = FP.Problem.UseEarlyExit;
-  M.UseDecomposition = FP.Problem.UseDecomposition;
-  M.UseComponentCache = FP.Problem.UseComponentCache;
-  M.UseDirtyTracking = FP.Problem.UseDirtyTracking;
-  M.UseInstanceReuse = FP.Problem.UseInstanceReuse;
   M.Shards = FP.Shards;
   M.Portfolio = FP.M == FleetProblem::Mode::Portfolio ? 1 : 0;
   M.FallbackMs = FP.FallbackMs;

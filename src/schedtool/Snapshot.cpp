@@ -31,9 +31,9 @@ const char kMagic[8] = {'S', 'W', 'A', 'S', 'N', 'A', 'P', '\0'};
 constexpr uint32_t kEndianMarker = 0x01020304u;
 constexpr uint32_t kHeaderSize = 16; // magic + version + endian marker.
 
+// Type 2 was the config-entry record of format versions 1 and 2.
 enum RecordType : uint32_t {
   kSearchState = 1,
-  kConfigEntry = 2,
   kComponentEntry = 3,
   kEnd = 0xFFFFFFFFu,
 };
@@ -401,8 +401,8 @@ bool decodeSearchState(Dec &D, Snapshot &S) {
 }
 
 /// Field-wise equality of the decision fields two snapshots must agree
-/// on for one fingerprint (ActionCount may differ between an early-exit
-/// and a capped run — same rule as VerdictCache's debug assert).
+/// on for one fingerprint (ActionCount is a cost figure — same rule as
+/// VerdictCache's debug assert).
 bool sameDecision(const analysis::VerdictOutcome &A,
                   const analysis::VerdictOutcome &B) {
   return A.Schedulable == B.Schedulable && A.Stop == B.Stop &&
@@ -421,31 +421,23 @@ Error truncated(const std::string &What) {
 } // namespace
 
 void Snapshot::captureCache(const VerdictCache &Cache) {
-  ConfigEntries.clear();
   ComponentEntries.clear();
-  Cache.forEachConfig(
-      [&](const cfg::Fingerprint &Key, const VerdictCache::Entry &E) {
-        ConfigEntries.push_back({Key, E.Raw, E.Verdict});
-      });
   Cache.forEachComponent([&](const cfg::Fingerprint &Key,
                              const VerdictCache::ComponentEntry &E) {
     ComponentEntries.push_back({Key, E.Raw, E.Verdict});
   });
-  auto ByKey = [](const CacheRecord &A, const CacheRecord &B) {
-    return A.Canon.Hi != B.Canon.Hi ? A.Canon.Hi < B.Canon.Hi
-                                    : A.Canon.Lo < B.Canon.Lo;
-  };
-  std::sort(ConfigEntries.begin(), ConfigEntries.end(), ByKey);
-  std::sort(ComponentEntries.begin(), ComponentEntries.end(), ByKey);
+  std::sort(ComponentEntries.begin(), ComponentEntries.end(),
+            [](const CacheRecord &A, const CacheRecord &B) {
+              return A.Canon.Hi != B.Canon.Hi ? A.Canon.Hi < B.Canon.Hi
+                                              : A.Canon.Lo < B.Canon.Lo;
+            });
 }
 
-std::pair<uint64_t, uint64_t> Snapshot::seedCache(VerdictCache &Cache) const {
-  size_t Cfg0 = Cache.size(), Comp0 = Cache.componentSize();
-  for (const CacheRecord &R : ConfigEntries)
-    Cache.insertSnapshot(R.Canon, R.Raw, R.Verdict);
+uint64_t Snapshot::seedCache(VerdictCache &Cache) const {
+  size_t Before = Cache.componentSize();
   for (const CacheRecord &R : ComponentEntries)
     Cache.insertComponentSnapshot(R.Canon, R.Raw, R.Verdict);
-  return {Cache.size() - Cfg0, Cache.componentSize() - Comp0};
+  return Cache.componentSize() - Before;
 }
 
 uint32_t schedtool::snapshotBaseCrc(const cfg::Config &Base) {
@@ -487,12 +479,6 @@ Error schedtool::saveSnapshot(const Snapshot &S, const std::string &Path,
     Enc P;
     encodeSearchState(P, S);
     if (Error E = Record(kSearchState, P.bytes()))
-      return E.withContext("snapshot " + Path);
-  }
-  for (const Snapshot::CacheRecord &R : S.ConfigEntries) {
-    Enc P;
-    encodeCacheRecord(P, R);
-    if (Error E = Record(kConfigEntry, P.bytes()))
       return E.withContext("snapshot " + Path);
   }
   for (const Snapshot::CacheRecord &R : S.ComponentEntries) {
@@ -597,13 +583,6 @@ Result<Snapshot> schedtool::loadSnapshot(const std::string &Path,
       SeenSearchState = true;
       break;
     }
-    case kConfigEntry: {
-      Snapshot::CacheRecord R;
-      if (!decodeCacheRecord(D, R))
-        return corrupt("malformed config-entry record: " + Path);
-      S.ConfigEntries.push_back(std::move(R));
-      break;
-    }
     case kComponentEntry: {
       Snapshot::CacheRecord R;
       if (!decodeCacheRecord(D, R))
@@ -629,39 +608,27 @@ Result<Snapshot> schedtool::loadSnapshot(const std::string &Path,
 Error schedtool::mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
                                 SnapshotStats *Stats) {
   // Stage everything, commit only when the whole merge validated.
-  auto MergeEntries =
-      [](const std::vector<Snapshot::CacheRecord> &DstE,
-         const std::vector<Snapshot::CacheRecord> &SrcE,
-         std::vector<Snapshot::CacheRecord> &Fresh) -> Error {
-    std::unordered_map<cfg::Fingerprint, const Snapshot::CacheRecord *,
-                       cfg::FingerprintHash>
-        Index;
-    Index.reserve(DstE.size());
-    for (const Snapshot::CacheRecord &R : DstE)
-      Index.emplace(R.Canon, &R);
-    for (const Snapshot::CacheRecord &R : SrcE) {
-      auto It = Index.find(R.Canon);
-      if (It == Index.end()) {
-        Fresh.push_back(R);
-        continue;
-      }
-      if (!sameDecision(It->second->Verdict, R.Verdict))
-        return Error::failure(
-            ErrorCode::SnapshotMismatch,
-            formatString("conflicting verdicts for fingerprint %016llx%016llx "
-                         "- snapshots are not from the same problem universe",
-                         static_cast<unsigned long long>(R.Canon.Hi),
-                         static_cast<unsigned long long>(R.Canon.Lo)));
+  std::unordered_map<cfg::Fingerprint, const Snapshot::CacheRecord *,
+                     cfg::FingerprintHash>
+      Index;
+  Index.reserve(Dst.ComponentEntries.size());
+  for (const Snapshot::CacheRecord &R : Dst.ComponentEntries)
+    Index.emplace(R.Canon, &R);
+  std::vector<Snapshot::CacheRecord> Fresh;
+  for (const Snapshot::CacheRecord &R : Src.ComponentEntries) {
+    auto It = Index.find(R.Canon);
+    if (It == Index.end()) {
+      Fresh.push_back(R);
+      continue;
     }
-    return Error::success();
-  };
-
-  std::vector<Snapshot::CacheRecord> FreshCfg, FreshComp;
-  if (Error E = MergeEntries(Dst.ConfigEntries, Src.ConfigEntries, FreshCfg))
-    return E;
-  if (Error E =
-          MergeEntries(Dst.ComponentEntries, Src.ComponentEntries, FreshComp))
-    return E;
+    if (!sameDecision(It->second->Verdict, R.Verdict))
+      return Error::failure(
+          ErrorCode::SnapshotMismatch,
+          formatString("conflicting verdicts for fingerprint %016llx%016llx "
+                       "- snapshots are not from the same problem universe",
+                       static_cast<unsigned long long>(R.Canon.Hi),
+                       static_cast<unsigned long long>(R.Canon.Lo)));
+  }
 
   bool AdoptState = false;
   if (Src.HasSearchState) {
@@ -678,10 +645,8 @@ Error schedtool::mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
   }
 
   // Commit.
-  Dst.ConfigEntries.insert(Dst.ConfigEntries.end(), FreshCfg.begin(),
-                           FreshCfg.end());
-  Dst.ComponentEntries.insert(Dst.ComponentEntries.end(), FreshComp.begin(),
-                              FreshComp.end());
+  Dst.ComponentEntries.insert(Dst.ComponentEntries.end(), Fresh.begin(),
+                              Fresh.end());
   if (AdoptState) {
     Dst.HasSearchState = true;
     Dst.Seed = Src.Seed;
@@ -694,10 +659,8 @@ Error schedtool::mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
     Dst.Boost = Src.Boost;
     Dst.Res = Src.Res;
   }
-  if (Stats) {
-    Stats->ConfigEntriesMerged += FreshCfg.size();
-    Stats->ComponentEntriesMerged += FreshComp.size();
-  }
+  if (Stats)
+    Stats->ComponentEntriesMerged += Fresh.size();
   return Error::success();
 }
 
@@ -707,8 +670,7 @@ void schedtool::fillSnapshotReport(obs::RunReport &Report,
   Report.addCount("snapshot.loaded", Stats.SnapshotsLoaded);
   Report.addCount("snapshot.bytes_written", Stats.BytesWritten);
   Report.addCount("snapshot.bytes_loaded", Stats.BytesLoaded);
-  Report.addCount("snapshot.entries_merged",
-                  Stats.ConfigEntriesMerged + Stats.ComponentEntriesMerged);
+  Report.addCount("snapshot.entries_merged", Stats.ComponentEntriesMerged);
   Report.addCount("snapshot.write_failures", Stats.WriteFailures);
   Report.addCount("verdict_cache.snapshot_hits", Stats.SnapshotHits);
 }

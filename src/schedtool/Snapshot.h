@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The durable-search snapshot: a versioned, checksummed, length-prefixed
-/// binary serialization of a schedtool::VerdictCache (config- and
-/// component-level entries under their canonical fingerprints) plus the
+/// binary serialization of a schedtool::VerdictCache (its entries under
+/// their canonical component fingerprints) plus the
 /// in-progress state of a ConfigSearch (round index, RNG stream state,
 /// adaptive Current/Boost, the partial SearchResult). Written through
 /// support::AtomicFile, so a crash at any byte leaves either the old
@@ -20,7 +20,7 @@
 ///   end      type=End record whose payload is the u32 CRC32 of every
 ///            byte before the end record's own header
 ///
-/// Record types: SearchState (at most one), ConfigEntry, ComponentEntry.
+/// Record types: SearchState (at most one), ComponentEntry.
 /// Entries are sorted by fingerprint before writing, so snapshot bytes
 /// are a pure function of the cache *contents* — two runs that earned
 /// the same verdicts write identical files regardless of hash-map
@@ -65,8 +65,7 @@ struct SnapshotStats {
   uint64_t SnapshotsLoaded = 0;
   uint64_t BytesWritten = 0;
   uint64_t BytesLoaded = 0;
-  /// Entries adopted from loaded/merged snapshots (config + component).
-  uint64_t ConfigEntriesMerged = 0;
+  /// Cache entries adopted from loaded/merged snapshots.
   uint64_t ComponentEntriesMerged = 0;
   /// Cache hits served by warm-from-disk entries during the search.
   uint64_t SnapshotHits = 0;
@@ -78,19 +77,20 @@ struct SnapshotStats {
 
 /// The in-memory image of a snapshot file.
 struct Snapshot {
-  /// Version 2 (PR 10): the search-state payload gained the strategy
-  /// name + opaque strategy state (portfolio metaheuristics resume
-  /// mid-stream). Version 1 files are rejected with a typed skew error
+  /// Version 2 added the strategy name + opaque strategy state to the
+  /// search-state payload (portfolio metaheuristics resume mid-stream).
+  /// Version 3 keeps one level of cache entries: the config-entry record
+  /// kind is gone, since a whole config is the one-component case of the
+  /// component cache. Older files are rejected with a typed skew error
   /// and degrade to a cold start, per the reader contract above.
-  static constexpr uint32_t FormatVersion = 2;
+  static constexpr uint32_t FormatVersion = 3;
 
-  /// One serialized verdict-cache entry (either level).
+  /// One serialized verdict-cache entry.
   struct CacheRecord {
     cfg::Fingerprint Canon; ///< Cache key (canonical fingerprint).
     cfg::Fingerprint Raw;   ///< Raw fingerprint (symmetry-fold detection).
     analysis::VerdictOutcome Verdict;
   };
-  std::vector<CacheRecord> ConfigEntries;
   std::vector<CacheRecord> ComponentEntries;
 
   /// Search-in-progress state. Absent (false) when the snapshot is a
@@ -121,14 +121,14 @@ struct Snapshot {
   std::string StrategyName;
   std::string StrategyState;
 
-  /// Populates ConfigEntries/ComponentEntries from \p Cache (sorted by
-  /// canonical fingerprint; deterministic bytes).
+  /// Populates ComponentEntries from \p Cache (sorted by canonical
+  /// fingerprint; deterministic bytes).
   void captureCache(const VerdictCache &Cache);
 
   /// Inserts every entry into \p Cache, marked warm-from-disk. Existing
   /// entries win (write-once cache). Returns the number of entries
-  /// actually adopted as (config, component).
-  std::pair<uint64_t, uint64_t> seedCache(VerdictCache &Cache) const;
+  /// actually adopted.
+  uint64_t seedCache(VerdictCache &Cache) const;
 };
 
 /// CRC32 of the canonical little-endian encoding of \p Base — the
@@ -158,7 +158,7 @@ Result<Snapshot> loadSnapshot(const std::string &Path,
 /// Dst has none or Src has progressed further (greater Iter) — in which
 /// case both must carry the same identity triple (Seed, BatchSize,
 /// BaseCrc), else SnapshotMismatch. On error \p Dst is unchanged.
-/// \p Stats (when non-null) accrues *EntriesMerged.
+/// \p Stats (when non-null) accrues ComponentEntriesMerged.
 Error mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
                      SnapshotStats *Stats = nullptr);
 

@@ -27,13 +27,16 @@
 #include "schedtool/FleetSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
+#include "support/Crc32.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace swa;
@@ -369,6 +372,18 @@ TEST(FleetSearch, ExhaustedRestartBudgetIsAnError) {
   ASSERT_FALSE(Out.ok());
 }
 
+TEST(ConfigSearchCli, RejectsUnknownArguments) {
+  // A removed or misspelled flag must not silently parse as the seed:
+  // usage on stderr and exit 2, before any search runs.
+  for (const char *Arg : {"--no-cache", "--bogus-flag", "7x"}) {
+    std::string Cmd = std::string(SWA_CONFIG_SEARCH_BIN) + " " + Arg +
+                      " >/dev/null 2>&1";
+    int Status = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Arg;
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Arg;
+  }
+}
+
 #endif // SWA_CONFIG_SEARCH_BIN
 
 //===----------------------------------------------------------------------===//
@@ -400,6 +415,41 @@ TEST(FleetSearch, CorruptManifestIsTypedRejection) {
   Result<SearchResult> R = runFleetShard(FP.ExchangeDir, 0);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.error().code(), ErrorCode::SnapshotCorrupt);
+}
+
+TEST(FleetSearch, VersionOneManifestIsTypedSkew) {
+  // A manifest from the format that still carried the six acceleration
+  // flag bytes (version 1) must be a typed skew, never reinterpreted:
+  // rewrite a valid manifest's version and re-seal its CRC, so only the
+  // version check can reject it.
+  FleetProblem FP;
+  FP.Problem = hardProblem();
+  FP.Problem.MaxIterations = 4;
+  FP.Shards = 1;
+  FP.ExchangeDir = freshDir("v1");
+  ASSERT_TRUE(runFleetSearch(FP).ok());
+
+  std::string Path = FP.ExchangeDir + "/manifest";
+  std::ifstream IS(Path, std::ios::binary);
+  std::string Data((std::istreambuf_iterator<char>(IS)),
+                   std::istreambuf_iterator<char>());
+  IS.close();
+  ASSERT_GT(Data.size(), 16u);
+  // Layout: 8-byte magic, u32 version (little-endian), ..., u32 CRC32 of
+  // everything before it.
+  Data[8] = 1;
+  Data[9] = Data[10] = Data[11] = 0;
+  uint32_t Crc = support::crc32(Data.data(), Data.size() - 4);
+  for (int I = 0; I < 4; ++I)
+    Data[Data.size() - 4 + static_cast<size_t>(I)] =
+        static_cast<char>((Crc >> (8 * I)) & 0xFF);
+  std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
+  OS.write(Data.data(), static_cast<std::streamsize>(Data.size()));
+  OS.close();
+
+  Result<SearchResult> R = runFleetShard(FP.ExchangeDir, 0);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().code(), ErrorCode::SnapshotVersionSkew);
 }
 
 TEST(FleetSearch, ShardModeRejectsStrategyPortfolio) {

@@ -269,10 +269,9 @@ cfg::Config decoupledProblem(double Utilization, uint64_t Seed) {
   return C;
 }
 
-/// The per-iteration lines of the search log. The acceleration layers add
-/// per-round statistics lines, so cross-flag comparisons look at these
-/// (and the scalar fields); full byte-identity of the Log is only asserted
-/// when the flags are held fixed.
+/// The per-iteration lines of the search log — the verdict stream, without
+/// the per-round statistics lines, which describe how verdicts were
+/// obtained rather than what they are.
 std::vector<std::string> iterLines(const SearchResult &R) {
   std::vector<std::string> Out;
   for (const std::string &L : R.Log)
@@ -281,68 +280,131 @@ std::vector<std::string> iterLines(const SearchResult &R) {
   return Out;
 }
 
-/// Everything an accelerated run must reproduce exactly: the verdict
-/// stream, the counters derived from it, the trajectory and the chosen
-/// configuration.
-void expectSameObservable(const SearchResult &A, const SearchResult &B) {
-  EXPECT_EQ(A.Found, B.Found);
-  EXPECT_EQ(A.ConfigurationsEvaluated, B.ConfigurationsEvaluated);
-  EXPECT_EQ(A.SchedulableSeen, B.SchedulableSeen);
-  EXPECT_EQ(A.BestBadness, B.BestBadness);
-  EXPECT_EQ(A.BestTrajectory, B.BestTrajectory);
-  EXPECT_EQ(iterLines(A), iterLines(B));
-  ASSERT_EQ(A.Best.Partitions.size(), B.Best.Partitions.size());
-  for (size_t P = 0; P < A.Best.Partitions.size(); ++P) {
-    EXPECT_EQ(A.Best.Partitions[P].Core, B.Best.Partitions[P].Core);
-    ASSERT_EQ(A.Best.Partitions[P].Windows.size(),
-              B.Best.Partitions[P].Windows.size());
-    for (size_t W = 0; W < A.Best.Partitions[P].Windows.size(); ++W) {
-      EXPECT_EQ(A.Best.Partitions[P].Windows[W].Start,
-                B.Best.Partitions[P].Windows[W].Start);
-      EXPECT_EQ(A.Best.Partitions[P].Windows[W].End,
-                B.Best.Partitions[P].Windows[W].End);
+/// A golden search outcome: the per-iteration log lines, the best-so-far
+/// trajectory and the chosen configuration. Every Best window list is the
+/// synthesized minor-frame slice [Start, End) repeated kGoldenFrames times
+/// at a stride of kGoldenMinor (the goldens' minor frame is 250 ticks in a
+/// 2000-tick hyperperiod), so a partition is pinned by (core, first slice).
+struct GoldenSearch {
+  double Utilization;
+  uint64_t BaseSeed;
+  uint64_t Seed;
+  int Iterations;
+  std::vector<std::string> IterLines;
+  std::vector<std::pair<int, int64_t>> Trajectory;
+  struct Part {
+    int Core;
+    cfg::TimeValue Start, End;
+  };
+  std::vector<Part> Best;
+};
+constexpr cfg::TimeValue kGoldenMinor = 250;
+constexpr int kGoldenFrames = 8;
+
+void expectGolden(const GoldenSearch &G, const SearchResult &R) {
+  EXPECT_EQ(iterLines(R), G.IterLines);
+  EXPECT_EQ(R.BestTrajectory, G.Trajectory);
+  ASSERT_EQ(R.Best.Partitions.size(), G.Best.size());
+  for (size_t P = 0; P < G.Best.size(); ++P) {
+    const cfg::Partition &Part = R.Best.Partitions[P];
+    EXPECT_EQ(Part.Core, G.Best[P].Core) << "partition " << P;
+    ASSERT_EQ(Part.Windows.size(), static_cast<size_t>(kGoldenFrames))
+        << "partition " << P;
+    for (int K = 0; K < kGoldenFrames; ++K) {
+      EXPECT_EQ(Part.Windows[static_cast<size_t>(K)].Start,
+                G.Best[P].Start + K * kGoldenMinor)
+          << "partition " << P << " window " << K;
+      EXPECT_EQ(Part.Windows[static_cast<size_t>(K)].End,
+                G.Best[P].End + K * kGoldenMinor)
+          << "partition " << P << " window " << K;
     }
   }
 }
 
-SearchProblem layeredProblem(cfg::Config Base, uint64_t Seed, int Iters,
-                             bool Cache, bool Early, bool Decompose) {
-  SearchProblem Problem;
-  Problem.Base = std::move(Base);
-  Problem.Seed = Seed;
-  Problem.MaxIterations = Iters;
-  Problem.UseVerdictCache = Cache;
-  Problem.UseEarlyExit = Early;
-  Problem.UseDecomposition = Decompose;
-  return Problem;
+/// Recorded from the plain search — no verdict cache, full-horizon runs,
+/// monolithic evaluation, no component reuse — before the search was
+/// reduced to its single component pipeline. That pipeline must reproduce
+/// the plain verdict stream exactly, so these never change.
+const std::vector<GoldenSearch> &plainGoldens() {
+  static const std::vector<GoldenSearch> Goldens = {
+      {0.45, 21, 17, 12,
+       {"iter 0: schedulable"},
+       {{0, 0}},
+       {{0, 0, 161}, {0, 161, 168}, {2, 0, 56}, {2, 56, 208},
+        {3, 0, 26}, {1, 0, 145}, {3, 26, 178}, {1, 145, 190}}},
+      {0.8, 21, 17, 12,
+       {"iter 0: schedulable"},
+       {{0, 0}},
+       {{0, 0, 241}, {0, 241, 249}, {2, 0, 65}, {2, 65, 249},
+        {3, 0, 35}, {1, 0, 190}, {3, 35, 249}, {1, 190, 249}}},
+      {0.8, 26, 23, 10,
+       {"iter 0: schedulable"},
+       {{0, 0}},
+       {{3, 0, 199}, {1, 0, 55}, {2, 0, 21}, {0, 0, 206},
+        {2, 21, 249}, {0, 206, 249}, {3, 199, 249}, {1, 55, 249}}},
+      // A multi-round run: every candidate misses, the trajectory settles
+      // on the first candidate, and the cache, decomposition and dirty
+      // tracking all engage on the pipeline side.
+      {0.8, 27, 37, 16,
+       {"iter 0: unschedulable (badness 1, first miss at t=2000, 1 tasks)",
+        "iter 1: unschedulable (badness 1001, first miss at t=1000, 2 "
+        "tasks)",
+        "iter 2: unschedulable (badness 1, first miss at t=2000, 1 tasks)",
+        "iter 3: unschedulable (badness 1, first miss at t=2000, 2 tasks)",
+        "iter 4: unschedulable (badness 1, first miss at t=2000, 2 tasks)",
+        "iter 5: unschedulable (badness 1, first miss at t=2000, 2 tasks)",
+        "iter 6: unschedulable (badness 1001, first miss at t=1000, 2 "
+        "tasks)",
+        "iter 7: unschedulable (badness 1751, first miss at t=250, 1 tasks)",
+        "iter 8: unschedulable (badness 1, first miss at t=2000, 3 tasks)",
+        "iter 9: unschedulable (badness 1, first miss at t=2000, 4 tasks)",
+        "iter 10: unschedulable (badness 1001, first miss at t=1000, 2 "
+        "tasks)",
+        "iter 11: unschedulable (badness 1, first miss at t=2000, 3 tasks)",
+        "iter 12: unschedulable (badness 1, first miss at t=2000, 3 tasks)",
+        "iter 13: unschedulable (badness 1501, first miss at t=500, 1 "
+        "tasks)",
+        "iter 14: unschedulable (badness 1501, first miss at t=500, 2 "
+        "tasks)",
+        "iter 15: unschedulable (badness 1001, first miss at t=1000, 1 "
+        "tasks)"},
+       {{0, 1}},
+       {{3, 0, 176}, {1, 0, 62}, {0, 0, 240}, {0, 240, 249},
+        {2, 0, 28}, {1, 62, 249}, {3, 176, 249}, {2, 28, 249}}},
+  };
+  return Goldens;
 }
 
 } // namespace
 
-TEST(Search, AccelerationLayersAreObservationallyTransparent) {
-  // Every combination of the three layers must reproduce the plain
-  // search's verdict stream, trajectory, counters and chosen
-  // configuration — on a workload that decomposes and at a utilization
-  // where candidates fail (so the early exit actually fires).
-  for (double Util : {0.45, 0.8}) {
-    auto Plain = searchConfiguration(layeredProblem(
-        decoupledProblem(Util, 21), 17, 12, false, false, false));
-    ASSERT_TRUE(Plain.ok()) << Plain.error().message();
-
-    for (int Mask = 1; Mask < 8; ++Mask) {
-      auto Fast = searchConfiguration(layeredProblem(
-          decoupledProblem(Util, 21), 17, 12, (Mask & 1) != 0,
-          (Mask & 2) != 0, (Mask & 4) != 0));
-      ASSERT_TRUE(Fast.ok()) << Fast.error().message();
-      expectSameObservable(*Plain, *Fast);
+TEST(Search, ReproducesPlainSearchGoldens) {
+  // The single evaluation path (component cache, first-miss early exit,
+  // decomposition, dirty tracking, instance reuse — all at once) must
+  // reproduce the plain search's verdict stream, trajectory and chosen
+  // configuration, on decomposing workloads and for every worker count.
+  for (const GoldenSearch &G : plainGoldens()) {
+    SearchProblem Problem;
+    Problem.Base = decoupledProblem(G.Utilization, G.BaseSeed);
+    Problem.Seed = G.Seed;
+    Problem.MaxIterations = G.Iterations;
+    for (int Workers : {1, 2, 4}) {
+      SCOPED_TRACE("base seed " + std::to_string(G.BaseSeed) + ", workers " +
+                   std::to_string(Workers));
+      Problem.Workers = Workers;
+      auto Res = searchConfiguration(Problem);
+      ASSERT_TRUE(Res.ok()) << Res.error().message();
+      EXPECT_EQ(Res->Found, G.Trajectory.back().second == 0);
+      EXPECT_EQ(Res->ConfigurationsEvaluated,
+                static_cast<int>(G.IterLines.size()));
+      expectGolden(G, *Res);
     }
   }
 }
 
-TEST(Search, AcceleratedResultIndependentOfWorkerCount) {
-  // With every layer on (the default), the SearchResult — including the
-  // cache and decomposition statistics, which are serial-path facts —
-  // must stay byte-identical for every worker count.
+TEST(Search, DecomposedResultIndependentOfWorkerCount) {
+  // The SearchResult — including the cache and decomposition statistics,
+  // which are serial-path facts — must stay byte-identical for every
+  // worker count on a workload that decomposes.
   SearchProblem Problem;
   Problem.Base = decoupledProblem(0.8, 22);
   Problem.Seed = 19;
@@ -368,15 +430,12 @@ TEST(Search, AcceleratedResultIndependentOfWorkerCount) {
 }
 
 TEST(Search, PlainResultIndependentOfWorkerCount) {
-  // The same guarantee with every layer off: the acceleration rewrite
-  // must not have cost the original worker-count determinism.
+  // The same guarantee on a message-coupled workload, where candidates
+  // are evaluated as whole configs.
   SearchProblem Problem;
   Problem.Base = unboundProblem(0.8, 23);
   Problem.Seed = 19;
   Problem.MaxIterations = 12;
-  Problem.UseVerdictCache = false;
-  Problem.UseEarlyExit = false;
-  Problem.UseDecomposition = false;
 
   Problem.Workers = 1;
   auto Serial = searchConfiguration(Problem);
@@ -441,80 +500,9 @@ TEST(Search, DecompositionEngagesOnDecoupledWorkloads) {
   }
 }
 
-namespace {
-
-SearchProblem incrementalProblem(cfg::Config Base, uint64_t Seed, int Iters,
-                                 bool CompCache, bool Dirty, bool Reuse) {
-  SearchProblem Problem;
-  Problem.Base = std::move(Base);
-  Problem.Seed = Seed;
-  Problem.MaxIterations = Iters;
-  Problem.UseComponentCache = CompCache;
-  Problem.UseDirtyTracking = Dirty;
-  Problem.UseInstanceReuse = Reuse;
-  return Problem;
-}
-
-} // namespace
-
-TEST(Search, IncrementalLayersAreObservationallyTransparent) {
-  // Every combination of the three incremental layers (component cache,
-  // dirty tracking, instance reuse) must reproduce the all-off verdict
-  // stream, trajectory and chosen configuration, for every worker count
-  // — on a workload that decomposes, at a utilization where candidates
-  // fail and the adaptive loop actually iterates. Within one mask the
-  // full SearchResult must be byte-identical across worker counts.
-  std::vector<SearchResult> PerMask;
-  for (int Mask = 0; Mask < 8; ++Mask) {
-    SearchProblem Problem = incrementalProblem(
-        decoupledProblem(0.8, 26), 23, 10, (Mask & 1) != 0, (Mask & 2) != 0,
-        (Mask & 4) != 0);
-    Problem.Workers = 1;
-    auto Serial = searchConfiguration(Problem);
-    ASSERT_TRUE(Serial.ok()) << Serial.error().message();
-    for (int Workers : {2, 4}) {
-      Problem.Workers = Workers;
-      auto Parallel = searchConfiguration(Problem);
-      ASSERT_TRUE(Parallel.ok()) << Parallel.error().message();
-      expectSameResult(*Serial, *Parallel);
-      EXPECT_EQ(Serial->ComponentCacheHits, Parallel->ComponentCacheHits);
-      EXPECT_EQ(Serial->ComponentCacheMisses,
-                Parallel->ComponentCacheMisses);
-      EXPECT_EQ(Serial->DirtyComponents, Parallel->DirtyComponents);
-      EXPECT_EQ(Serial->CleanComponentsReused,
-                Parallel->CleanComponentsReused);
-      EXPECT_EQ(Serial->ComponentsSimulated, Parallel->ComponentsSimulated);
-      EXPECT_EQ(Serial->SimulationsRun, Parallel->SimulationsRun);
-    }
-    PerMask.push_back(std::move(*Serial));
-  }
-  for (int Mask = 1; Mask < 8; ++Mask) {
-    expectSameObservable(PerMask[0], PerMask[static_cast<size_t>(Mask)]);
-    // The layers rearrange *how* verdicts are obtained, never which
-    // candidates decompose or what the whole-config cache sees.
-    EXPECT_EQ(PerMask[0].CacheHits, PerMask[static_cast<size_t>(Mask)].CacheHits);
-    EXPECT_EQ(PerMask[0].CacheMisses,
-              PerMask[static_cast<size_t>(Mask)].CacheMisses);
-    EXPECT_EQ(PerMask[0].DecomposedCandidates,
-              PerMask[static_cast<size_t>(Mask)].DecomposedCandidates);
-    EXPECT_EQ(PerMask[0].SimulationsRun,
-              PerMask[static_cast<size_t>(Mask)].SimulationsRun);
-    EXPECT_EQ(PerMask[0].StopReasonCounts,
-              PerMask[static_cast<size_t>(Mask)].StopReasonCounts);
-  }
-  // Instance reuse alone never changes a single byte: compare each mask
-  // with its reuse-flipped twin, full Log included.
-  for (int Mask = 0; Mask < 4; ++Mask) {
-    expectSameResult(PerMask[static_cast<size_t>(Mask)],
-                     PerMask[static_cast<size_t>(Mask | 4)]);
-    EXPECT_EQ(PerMask[static_cast<size_t>(Mask)].ComponentsSimulated,
-              PerMask[static_cast<size_t>(Mask | 4)].ComponentsSimulated);
-  }
-}
-
 TEST(Search, ComponentCacheAndDirtyTrackingEngage) {
-  // On a decoupled workload with the default flags the component cache
-  // must produce cross-round hits (the adaptive state mutates a few
+  // On a decoupled workload the component cache must produce cross-round
+  // hits (the adaptive state mutates a few
   // components per step, the rest repeat), dirty tracking must reuse
   // clean components, and the statistics must be coherent.
   SearchProblem Problem;
@@ -529,8 +517,8 @@ TEST(Search, ComponentCacheAndDirtyTrackingEngage) {
   EXPECT_GE(Res->ComponentCacheMisses, Res->ComponentsSimulated);
   EXPECT_GT(Res->DirtyComponents, 0);
   EXPECT_GT(Res->CleanComponentsReused, 0);
-  // With both layers on, every decomposed candidate plans incrementally
-  // and every planned component meets the cache exactly once.
+  // Every decomposed candidate plans incrementally and every planned
+  // component meets the cache exactly once.
   EXPECT_EQ(Res->ComponentCacheHits + Res->ComponentCacheMisses,
             Res->DirtyComponents + Res->CleanComponentsReused);
   if (!Res->Found) {

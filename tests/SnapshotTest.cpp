@@ -117,8 +117,8 @@ Snapshot sampleSnapshot() {
                "1 tasks)",
                "round 0: cache 0 hits / 4 misses / 0 folds / 0 dups "
                "(4 entries)"};
-  S.ConfigEntries.push_back({{1, 2}, {1, 3}, missVerdict(10, 0)});
-  S.ConfigEntries.push_back({{5, 6}, {5, 6}, okVerdict()});
+  S.ComponentEntries.push_back({{1, 2}, {1, 3}, missVerdict(10, 0)});
+  S.ComponentEntries.push_back({{5, 6}, {5, 6}, okVerdict()});
   S.ComponentEntries.push_back({{7, 8}, {7, 9}, missVerdict(20, 1)});
   return S;
 }
@@ -192,12 +192,6 @@ void expectSameSnapshot(const Snapshot &A, const Snapshot &B) {
   EXPECT_EQ(A.Res.StopReasonCounts, B.Res.StopReasonCounts);
   EXPECT_EQ(A.Res.Log, B.Res.Log);
   expectSameConfig(A.Res.Best, B.Res.Best);
-  ASSERT_EQ(A.ConfigEntries.size(), B.ConfigEntries.size());
-  for (size_t I = 0; I < A.ConfigEntries.size(); ++I) {
-    EXPECT_EQ(A.ConfigEntries[I].Canon, B.ConfigEntries[I].Canon);
-    EXPECT_EQ(A.ConfigEntries[I].Raw, B.ConfigEntries[I].Raw);
-    expectSameVerdict(A.ConfigEntries[I].Verdict, B.ConfigEntries[I].Verdict);
-  }
   ASSERT_EQ(A.ComponentEntries.size(), B.ComponentEntries.size());
   for (size_t I = 0; I < A.ComponentEntries.size(); ++I) {
     EXPECT_EQ(A.ComponentEntries[I].Canon, B.ComponentEntries[I].Canon);
@@ -356,7 +350,7 @@ TEST(ExchangeDeath, TornPublicationIsNeverVisibleToReaders) {
           Exchange W;
           if (W.init(Dir, 0, 2, Exchange::Mode::Shard).isFailure())
             _exit(2);
-          W.recordConfig({1, 2}, {1, 3}, missVerdict(10, 0));
+          W.recordComponent({1, 2}, {1, 3}, missVerdict(10, 0));
           W.publish();
           std::fprintf(stderr, "no crash at stage %s\n", Stage);
           _exit(1);
@@ -371,7 +365,7 @@ TEST(ExchangeDeath, TornPublicationIsNeverVisibleToReaders) {
     ASSERT_FALSE(R.init(Dir, 1, 2, Exchange::Mode::Shard).isFailure());
     R.refresh();
     EXPECT_EQ(R.Stats.PeerLoadErrors, 0u) << "stage " << Stage;
-    const VerdictCache::Entry *E = R.fetchConfig({1, 2});
+    const VerdictCache::ComponentEntry *E = R.fetchComponent({1, 2});
     bool Committed =
         std::string(Stage) == "rename" || std::string(Stage) == "commit";
     if (Committed) {
@@ -445,14 +439,13 @@ TEST(Snapshot, RoundTripsEveryFieldAndIsByteStable) {
 
 TEST(Snapshot, CacheOnlySnapshotRoundTrips) {
   Snapshot S;
-  S.ConfigEntries.push_back({{1, 2}, {1, 2}, okVerdict()});
+  S.ComponentEntries.push_back({{1, 2}, {1, 2}, okVerdict()});
   std::string Path = testPath("cacheonly.bin");
   ASSERT_FALSE(saveSnapshot(S, Path).isFailure());
   Result<Snapshot> L = loadSnapshot(Path);
   ASSERT_TRUE(L.ok()) << L.error().message();
   EXPECT_FALSE(L->HasSearchState);
-  EXPECT_EQ(L->ConfigEntries.size(), 1u);
-  EXPECT_TRUE(L->ComponentEntries.empty());
+  EXPECT_EQ(L->ComponentEntries.size(), 1u);
   std::remove(Path.c_str());
 }
 
@@ -462,12 +455,12 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
   analysis::VerdictOutcome V1 = missVerdict(10, 0), V2 = okVerdict();
   analysis::VerdictOutcome V3 = missVerdict(30, 2);
   VerdictCache A, B;
-  A.insert({1, 1}, {1, 1}, V1);
-  A.insert({2, 2}, {2, 9}, V2);
+  A.insertComponent({1, 1}, {1, 1}, V1);
+  A.insertComponent({2, 2}, {2, 9}, V2);
   A.insertComponent({3, 3}, {3, 3}, V3);
   B.insertComponent({3, 3}, {3, 3}, V3);
-  B.insert({2, 2}, {2, 9}, V2);
-  B.insert({1, 1}, {1, 1}, V1);
+  B.insertComponent({2, 2}, {2, 9}, V2);
+  B.insertComponent({1, 1}, {1, 1}, V1);
 
   Snapshot SA, SB;
   SA.captureCache(A);
@@ -482,21 +475,19 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
 
 TEST(Snapshot, SeedCacheMarksProvenanceAndNeverOverwrites) {
   Snapshot S;
-  S.ConfigEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  S.ConfigEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
+  S.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
+  S.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
   S.ComponentEntries.push_back({{3, 3}, {3, 3}, missVerdict(20, 1)});
 
   VerdictCache Cache;
   // Pre-existing same-run entry under key {1,1}: the snapshot must not
   // replace it or flip its provenance.
-  Cache.insert({1, 1}, {1, 1}, missVerdict(10, 0));
-  auto [NCfg, NComp] = S.seedCache(Cache);
-  EXPECT_EQ(NCfg, 1u);
-  EXPECT_EQ(NComp, 1u);
-  const VerdictCache::Entry *E1 = Cache.lookup({1, 1});
+  Cache.insertComponent({1, 1}, {1, 1}, missVerdict(10, 0));
+  EXPECT_EQ(S.seedCache(Cache), 2u);
+  const VerdictCache::ComponentEntry *E1 = Cache.lookupComponent({1, 1});
   ASSERT_NE(E1, nullptr);
   EXPECT_FALSE(E1->FromSnapshot);
-  const VerdictCache::Entry *E2 = Cache.lookup({2, 2});
+  const VerdictCache::ComponentEntry *E2 = Cache.lookupComponent({2, 2});
   ASSERT_NE(E2, nullptr);
   EXPECT_TRUE(E2->FromSnapshot);
   const VerdictCache::ComponentEntry *C3 = Cache.lookupComponent({3, 3});
@@ -593,13 +584,20 @@ TEST(SnapshotCorpus, VersionSkewIsTyped) {
   ASSERT_FALSE(saveSnapshot(sampleSnapshot(), Path).isFailure());
   std::string Full = readAll(Path);
   // The u32 version lives at offset 8 (after the magic), little-endian.
-  Full[8] = static_cast<char>(Snapshot::FormatVersion + 1);
-  std::string P = testPath("skew.bin");
-  writeAll(P, Full);
-  Result<Snapshot> L = loadSnapshot(P);
-  ASSERT_FALSE(L.ok());
-  EXPECT_EQ(L.error().code(), ErrorCode::SnapshotVersionSkew);
-  std::remove(P.c_str());
+  // Both a newer writer and the previous format (two cache levels) are
+  // typed skews, never a best-effort read.
+  for (uint32_t Version :
+       {Snapshot::FormatVersion + 1, Snapshot::FormatVersion - 1}) {
+    std::string Skewed = Full;
+    Skewed[8] = static_cast<char>(Version);
+    std::string P = testPath("skew.bin");
+    writeAll(P, Skewed);
+    Result<Snapshot> L = loadSnapshot(P);
+    ASSERT_FALSE(L.ok()) << "version " << Version;
+    EXPECT_EQ(L.error().code(), ErrorCode::SnapshotVersionSkew)
+        << "version " << Version;
+    std::remove(P.c_str());
+  }
   std::remove(Path.c_str());
 }
 
@@ -641,29 +639,28 @@ TEST(SnapshotCorpus, BadMagicAndTrailingGarbageAreTyped) {
 
 TEST(SnapshotMerge, UnionsEntriesDstWins) {
   Snapshot Dst, Src;
-  Dst.ConfigEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  Src.ConfigEntries.push_back({{1, 1}, {1, 9}, missVerdict(10, 0)});
-  Src.ConfigEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
+  Dst.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
+  Src.ComponentEntries.push_back({{1, 1}, {1, 9}, missVerdict(10, 0)});
+  Src.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
   Src.ComponentEntries.push_back({{3, 3}, {3, 3}, missVerdict(30, 1)});
   SnapshotStats Stats;
   ASSERT_FALSE(mergeSnapshots(Dst, Src, &Stats).isFailure());
-  EXPECT_EQ(Dst.ConfigEntries.size(), 2u);
-  EXPECT_EQ(Dst.ComponentEntries.size(), 1u);
-  EXPECT_EQ(Stats.ConfigEntriesMerged, 1u);
-  EXPECT_EQ(Stats.ComponentEntriesMerged, 1u);
+  EXPECT_EQ(Dst.ComponentEntries.size(), 3u);
+  EXPECT_EQ(Stats.ComponentEntriesMerged, 2u);
   // Dst's original entry survived (its Raw is {1,1}, not Src's {1,9}).
-  EXPECT_EQ(Dst.ConfigEntries[0].Raw, (cfg::Fingerprint{1, 1}));
+  EXPECT_EQ(Dst.ComponentEntries[0].Raw, (cfg::Fingerprint{1, 1}));
 }
 
 TEST(SnapshotMerge, ConflictingVerdictIsMismatchAndDstUnchanged) {
   Snapshot Dst, Src;
-  Dst.ConfigEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  Src.ConfigEntries.push_back({{1, 1}, {1, 1}, missVerdict(99, 0)});
-  Src.ConfigEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
+  Dst.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
+  Src.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(99, 0)});
+  Src.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
   Error E = mergeSnapshots(Dst, Src);
   ASSERT_TRUE(E.isFailure());
   EXPECT_EQ(E.code(), ErrorCode::SnapshotMismatch);
-  EXPECT_EQ(Dst.ConfigEntries.size(), 1u) << "Dst mutated on a failed merge";
+  EXPECT_EQ(Dst.ComponentEntries.size(), 1u)
+      << "Dst mutated on a failed merge";
 }
 
 TEST(SnapshotMerge, AdoptsFurtherProgressedSearchState) {
