@@ -13,7 +13,6 @@
 
 #include "gen/Workload.h"
 #include "schedtool/ConfigSearch.h"
-#include "schedtool/FleetSearch.h"
 #include "schedtool/Snapshot.h"
 
 #include "BenchSupport.h"
@@ -320,98 +319,6 @@ static void BM_SearchDurable(benchmark::State &State) {
 }
 BENCHMARK(BM_SearchDurable)
     ->ArgsProduct({{0, 1, 2}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
-// The fleet-scaling axis (E9): N in-process workers shard the candidate
-// space of the neighborhood workload over one exchange directory; every
-// worker delivers the *full* byte-identical SearchResult (verified by
-// the coordinator's merge), so the fleet's useful output is N complete
-// results per wall-clock run. fleet_candidates_per_sec is that
-// aggregate decided-verdict throughput — Shards x evaluated / wall; on
-// a single-core host it rises with the fleet because each worker
-// simulates only ~1/N of the items and adopts the rest from peers
-// (peer_hit_rate), not because more silicon joined. The shards=1 row is
-// the exchange-free baseline: its fleet_candidates_per_sec is the
-// candidates_per_sec of the plain search.
-// Integration-scale variant of the neighborhood workload: sharding pays
-// for the *simulation* share of a candidate, so the fleet axis is
-// measured where simulation dominates the round — 3 modules (~1.5x the
-// neighborhood job count) with inter-partition messages, which couple
-// the cores and force a full-system simulation per candidate instead of
-// decomposed per-core components. On the small message-free
-// neighborhoodConfig the per-worker serial path (planning,
-// canonicalization, cache, reduce) is over half the run and is
-// duplicated per shard, which caps the aggregate speedup well below the
-// simulation-bound regime.
-static cfg::Config fleetConfig() {
-  gen::IndustrialParams Params;
-  Params.Modules = 3;
-  Params.CoresPerModule = 2;
-  Params.PartitionsPerCore = 2;
-  Params.CoreUtilization = 0.8;
-  Params.MessageProbability = 0.5;
-  Params.Seed = 27;
-  cfg::Config Base = gen::industrialConfig(Params);
-  for (cfg::Partition &P : Base.Partitions) {
-    P.Core = -1;
-    P.Windows.clear();
-  }
-  return Base;
-}
-
-static void BM_SearchFleet(benchmark::State &State) {
-  int Shards = static_cast<int>(State.range(0));
-  cfg::Config Base = fleetConfig();
-  std::string Dir = "swa_bench_fleet_exchange";
-
-  int64_t AggregateEvaluated = 0;
-  uint64_t ItemsOwned = 0, ItemsFetched = 0, Fallbacks = 0;
-  int64_t PerShardEvaluated = 0;
-  for (auto _ : State) {
-    schedtool::FleetProblem FP;
-    FP.Problem.Base = Base;
-    FP.Problem.Seed = 41;
-    FP.Problem.MaxIterations = 60;
-    FP.Shards = Shards;
-    FP.ExchangeDir = Dir;
-    Result<schedtool::FleetResult> Res = schedtool::runFleetSearch(FP);
-    if (!Res.ok()) {
-      State.SkipWithError(Res.error().message().c_str());
-      return;
-    }
-    PerShardEvaluated = Res->Res.ConfigurationsEvaluated;
-    AggregateEvaluated +=
-        static_cast<int64_t>(Shards) * Res->Res.ConfigurationsEvaluated;
-    for (const schedtool::ExchangeStats &Ex : Res->ShardExchange) {
-      ItemsOwned += Ex.ItemsOwned;
-      ItemsFetched += Ex.ItemsFetched;
-      Fallbacks += Ex.FallbackSimulations;
-    }
-  }
-  State.counters["shards"] = Shards;
-  State.counters["evaluated"] = static_cast<double>(PerShardEvaluated);
-  // Aggregate decided-verdict throughput across the fleet — the series
-  // compare_bench.py gates.
-  State.counters["fleet_candidates_per_sec"] = benchmark::Counter(
-      static_cast<double>(AggregateEvaluated), benchmark::Counter::kIsRate);
-  // Fraction of the fleet's work items adopted from a peer's
-  // publication instead of simulated locally (0 for the exchange-free
-  // row; the ideal for N shards is (N-1)/N minus what the verdict
-  // cache already absorbed).
-  uint64_t TotalItems = ItemsOwned + ItemsFetched + Fallbacks;
-  State.counters["peer_hit_rate"] =
-      TotalItems > 0 ? static_cast<double>(ItemsFetched) /
-                           static_cast<double>(TotalItems)
-                     : 0.0;
-  State.counters["fallback_simulations"] = static_cast<double>(Fallbacks);
-  swa::benchsupport::exportObsCounters(State);
-}
-BENCHMARK(BM_SearchFleet)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
     ->Iterations(1);

@@ -45,10 +45,7 @@ import sys
 
 # Rate-style user counters worth gating by default. Wall time covers the
 # rest; obs.* event counts are diagnostics, not performance.
-# fleet_candidates_per_sec is the fleet's aggregate decided-verdict
-# throughput (bench_schedtool BM_SearchFleet, recorded by run_fleet.sh).
-DEFAULT_COUNTERS = ["candidates_per_sec", "actions_per_sec",
-                    "fleet_candidates_per_sec"]
+DEFAULT_COUNTERS = ["candidates_per_sec", "actions_per_sec"]
 
 
 def resolve_baseline(path):

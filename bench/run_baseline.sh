@@ -68,7 +68,8 @@ done
 BUILD="${1:-build}"
 OUT="${2:-${RECORD:-BENCH_PR5.json}}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BENCHES=(bench_table1 bench_engine bench_scale bench_schedtool bench_sensitivity)
+BENCHES=(bench_table1 bench_engine bench_scale bench_schedtool bench_sensitivity
+         bench_construction)
 
 CACHE="$ROOT/$BUILD/CMakeCache.txt"
 if [ ! -f "$CACHE" ]; then

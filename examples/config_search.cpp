@@ -12,15 +12,14 @@
 //                     [--checkpoint FILE] [--checkpoint-every-ms MS]
 //                     [--resume] [--trace-out FILE] [--report-out FILE]
 //                     [--strategy NAME]
-//                     [--fleet N] [--portfolio S1,S2,..] [--fleet-dir DIR]
-//                     [--fleet-threads N] [--fleet-fallback-ms MS]
-//                     [--fleet-in-process]
 //
 // --workers evaluates candidate batches on N threads; the result is
 // byte-identical for every N. --budget-ms caps each candidate's
 // simulation wall-clock time: a candidate that exceeds it is logged as
-// skipped and the search keeps going. Any other argument that is not a
-// non-negative integer seed is rejected with the usage text (exit 2).
+// skipped and the search keeps going. Numeric values are non-negative
+// decimal integers (--workers at least 1); a malformed value, and any
+// other argument that is not such an integer seed, is rejected with the
+// usage text (exit 2).
 // --trace-out records per-candidate / per-simulation spans and writes a
 // chrome://tracing (Perfetto) timeline; --report-out writes a
 // machine-readable obs::RunReport JSON. Both turn observability on;
@@ -35,19 +34,6 @@
 // typed error and the search starts cold — never a wrong answer.
 //
 // --strategy picks the metaheuristic (local | annealing | genetic).
-// --fleet N runs the search as a fleet of N sharded worker processes on
-// a shared verdict exchange (--fleet-dir, default ./fleet_exchange):
-// every worker replays the full deterministic loop but simulates only
-// its share of each round's work items, adopting the rest from its
-// peers — the printed result is byte-identical to the single-process
-// run for any N. --portfolio races one worker per named strategy on the
-// shared exchange instead and reports the first/best finisher.
-// --fleet-threads sets each worker's thread count, --fleet-in-process
-// runs workers as threads of this process instead of spawned processes
-// (faster to start; no crash tolerance). In fleet mode workers
-// checkpoint into the exchange directory and --resume continues an
-// interrupted fleet. The hidden --fleet-worker/--fleet-shard flags are
-// how the coordinator invokes this binary as a worker.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,99 +43,73 @@
 #include "obs/RunReport.h"
 #include "obs/Span.h"
 #include "schedtool/ConfigSearch.h"
-#include "schedtool/FleetSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 using namespace swa;
-
-// The search's deliverable, shared by the solo and fleet paths: the
-// schedulable binding + windows, or nothing when the search failed.
-static void printChosen(const schedtool::SearchResult &Res) {
-  if (!Res.Found)
-    return;
-  std::printf("\nchosen binding and windows:\n");
-  for (size_t P = 0; P < Res.Best.Partitions.size(); ++P) {
-    const cfg::Partition &Part = Res.Best.Partitions[P];
-    std::printf("  %-10s -> core %s, windows:", Part.Name.c_str(),
-                Res.Best.Cores[static_cast<size_t>(Part.Core)].Name.c_str());
-    for (const cfg::Window &W : Part.Windows)
-      std::printf(" [%lld,%lld)", static_cast<long long>(W.Start),
-                  static_cast<long long>(W.End));
-    std::printf("\n");
-  }
-}
 
 static const char kUsage[] =
     "usage: config_search [seed] [--workers N] [--budget-ms MS]\n"
     "                     [--checkpoint FILE] [--checkpoint-every-ms MS]\n"
     "                     [--resume] [--trace-out FILE] [--report-out FILE]\n"
-    "                     [--strategy NAME]\n"
-    "                     [--fleet N] [--portfolio S1,S2,..] "
-    "[--fleet-dir DIR]\n"
-    "                     [--fleet-threads N] [--fleet-fallback-ms MS]\n"
-    "                     [--fleet-in-process]\n";
+    "                     [--strategy NAME]\n";
 
-// The positional seed: a non-negative decimal integer, nothing else.
-static bool parseSeed(const char *Arg, uint64_t &Seed) {
+// A non-negative decimal integer, nothing else: the positional seed and
+// every numeric flag value.
+static bool parseDecimal(const char *Arg, uint64_t &Out) {
   if (*Arg < '0' || *Arg > '9')
     return false;
   char *End = nullptr;
   unsigned long long V = std::strtoull(Arg, &End, 10);
   if (*End != '\0')
     return false;
-  Seed = V;
+  Out = V;
   return true;
 }
 
 int main(int argc, char **argv) {
-  // Fleet-worker dispatch: when the coordinator spawned us, run the
-  // assigned shard and nothing else (the manifest carries the problem).
-  {
-    const char *WorkerDir = nullptr;
-    int WorkerShard = -1;
-    for (int I = 1; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--fleet-worker") == 0 && I + 1 < argc)
-        WorkerDir = argv[I + 1];
-      else if (std::strcmp(argv[I], "--fleet-shard") == 0 && I + 1 < argc)
-        WorkerShard = std::atoi(argv[I + 1]);
-    }
-    if (WorkerDir)
-      return schedtool::runFleetWorker(WorkerDir, WorkerShard);
-  }
-
   uint64_t Seed = 7;
-  int Workers = 1;
+  int64_t Workers = 1;
   int64_t BudgetMs = -1;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   const char *CheckpointPath = nullptr;
   int64_t CheckpointEveryMs = 0;
   bool Resume = false;
   std::string StrategyName;
-  int FleetN = 0;
-  std::vector<std::string> Portfolio;
-  const char *FleetDir = "fleet_exchange";
-  int FleetThreads = 0;
-  int64_t FleetFallbackMs = 2000;
-  bool FleetInProcess = false;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--workers") == 0 && I + 1 < argc)
-      Workers = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--budget-ms") == 0 && I + 1 < argc)
-      BudgetMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc)
+    // Numeric flags: a value outside [Min, Max] — negative, malformed or
+    // missing — is a usage error, never a silent default.
+    int64_t *Num = nullptr;
+    int64_t Min = 0, Max = INT64_MAX;
+    if (std::strcmp(argv[I], "--workers") == 0) {
+      Num = &Workers;
+      Min = 1;
+      Max = INT_MAX;
+    } else if (std::strcmp(argv[I], "--budget-ms") == 0) {
+      Num = &BudgetMs;
+    } else if (std::strcmp(argv[I], "--checkpoint-every-ms") == 0) {
+      Num = &CheckpointEveryMs;
+    }
+    if (Num) {
+      uint64_t V = 0;
+      if (I + 1 >= argc || !parseDecimal(argv[I + 1], V) ||
+          V < static_cast<uint64_t>(Min) || V > static_cast<uint64_t>(Max)) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n%s",
+                     I + 1 < argc ? argv[I + 1] : "", argv[I], kUsage);
+        return 2;
+      }
+      *Num = static_cast<int64_t>(V);
+      ++I;
+    } else if (std::strcmp(argv[I], "--checkpoint") == 0 && I + 1 < argc)
       CheckpointPath = argv[++I];
-    else if (std::strcmp(argv[I], "--checkpoint-every-ms") == 0 &&
-             I + 1 < argc)
-      CheckpointEveryMs = std::strtoll(argv[++I], nullptr, 10);
     else if (std::strcmp(argv[I], "--resume") == 0)
       Resume = true;
     else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
@@ -158,28 +118,7 @@ int main(int argc, char **argv) {
       ReportOut = argv[++I];
     else if (std::strcmp(argv[I], "--strategy") == 0 && I + 1 < argc)
       StrategyName = argv[++I];
-    else if (std::strcmp(argv[I], "--fleet") == 0 && I + 1 < argc)
-      FleetN = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--portfolio") == 0 && I + 1 < argc) {
-      std::string List = argv[++I];
-      size_t Pos = 0;
-      while (Pos <= List.size()) {
-        size_t Comma = List.find(',', Pos);
-        if (Comma == std::string::npos)
-          Comma = List.size();
-        if (Comma > Pos)
-          Portfolio.push_back(List.substr(Pos, Comma - Pos));
-        Pos = Comma + 1;
-      }
-    } else if (std::strcmp(argv[I], "--fleet-dir") == 0 && I + 1 < argc)
-      FleetDir = argv[++I];
-    else if (std::strcmp(argv[I], "--fleet-threads") == 0 && I + 1 < argc)
-      FleetThreads = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--fleet-fallback-ms") == 0 && I + 1 < argc)
-      FleetFallbackMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--fleet-in-process") == 0)
-      FleetInProcess = true;
-    else if (!parseSeed(argv[I], Seed)) {
+    else if (!parseDecimal(argv[I], Seed)) {
       std::fprintf(stderr, "error: unrecognized argument '%s'\n%s", argv[I],
                    kUsage);
       return 2;
@@ -214,7 +153,7 @@ int main(int argc, char **argv) {
   Problem.Base = Base;
   Problem.Seed = Seed;
   Problem.MaxIterations = 40;
-  Problem.Workers = Workers;
+  Problem.Workers = static_cast<int>(Workers);
   Problem.CandidateBudgetMs = BudgetMs;
 
   std::unique_ptr<schedtool::Strategy> Strat;
@@ -226,71 +165,6 @@ int main(int argc, char **argv) {
       return 1;
     }
     Problem.Strat = Strat.get();
-  }
-
-  if (FleetN > 1 || !Portfolio.empty()) {
-    schedtool::FleetProblem FP;
-    FP.Problem = Problem;
-    if (FleetThreads > 0)
-      FP.Problem.Workers = FleetThreads;
-    FP.Shards = FleetN > 1 ? FleetN : static_cast<int>(Portfolio.size());
-    FP.M = Portfolio.empty() ? schedtool::FleetProblem::Mode::Shard
-                             : schedtool::FleetProblem::Mode::Portfolio;
-    FP.Strategies = Portfolio;
-    if (Portfolio.empty() && !StrategyName.empty())
-      FP.Strategies.push_back(StrategyName);
-    FP.ExchangeDir = FleetDir;
-    FP.FallbackMs = FleetFallbackMs;
-    FP.CheckpointEveryMs = CheckpointEveryMs;
-    FP.Resume = Resume;
-    if (!FleetInProcess)
-      FP.WorkerCommand = {argv[0]};
-
-    std::printf("fleet: %d %s shard(s), exchange dir %s, %s backend\n",
-                FP.Shards,
-                FP.M == schedtool::FleetProblem::Mode::Portfolio
-                    ? "portfolio"
-                    : "sharded",
-                FP.ExchangeDir.c_str(),
-                FleetInProcess ? "in-process" : "process");
-    auto F0 = std::chrono::steady_clock::now();
-    Result<schedtool::FleetResult> Fleet = schedtool::runFleetSearch(FP);
-    double FleetSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - F0)
-            .count();
-    if (!Fleet.ok()) {
-      std::fprintf(stderr, "error: %s\n", Fleet.error().message().c_str());
-      return 1;
-    }
-    for (size_t I = 0; I < Fleet->ShardResults.size(); ++I) {
-      const schedtool::SearchResult &R = Fleet->ShardResults[I];
-      std::printf("  shard %zu [%s]: %s after %d candidates\n", I,
-                  Fleet->ShardStrategies[I].c_str(),
-                  R.Found ? "found" : "not found",
-                  R.ConfigurationsEvaluated);
-    }
-    if (Fleet->Restarts > 0)
-      std::printf("fleet: %d worker restart(s)\n", Fleet->Restarts);
-    const schedtool::SearchResult &R = Fleet->Res;
-    std::printf("fleet: winner shard %d [%s]; evaluated %d configurations; "
-                "%s (%.2fs)\n",
-                Fleet->WinnerShard, Fleet->WinnerStrategy.c_str(),
-                R.ConfigurationsEvaluated,
-                R.Found ? "found a schedulable one"
-                        : "no schedulable configuration found",
-                FleetSec);
-    if (ReportOut) {
-      obs::RunReport Report("config_search_fleet");
-      schedtool::fillSearchReport(Report, R, FleetSec);
-      std::string Err;
-      if (!Report.writeFile(ReportOut, Err)) {
-        std::fprintf(stderr, "error: %s\n", Err.c_str());
-        return 1;
-      }
-      std::printf("report: %s\n", ReportOut);
-    }
-    printChosen(R);
-    return R.Found ? 0 : 2;
   }
 
   // Durable search: load the previous checkpoint when asked, and degrade
@@ -402,6 +276,16 @@ int main(int argc, char **argv) {
     std::printf("report: %s\n", ReportOut);
   }
 
-  printChosen(*Res);
+  if (Res->Found) {
+    std::printf("\nchosen binding and windows:\n");
+    for (const cfg::Partition &Part : Res->Best.Partitions) {
+      std::printf("  %-10s -> core %s, windows:", Part.Name.c_str(),
+                  Res->Best.Cores[static_cast<size_t>(Part.Core)].Name.c_str());
+      for (const cfg::Window &W : Part.Windows)
+        std::printf(" [%lld,%lld)", static_cast<long long>(W.Start),
+                    static_cast<long long>(W.End));
+      std::printf("\n");
+    }
+  }
   return Res->Found ? 0 : 2;
 }

@@ -13,7 +13,6 @@
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "obs/Timer.h"
-#include "schedtool/Exchange.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
 #include "schedtool/VerdictCache.h"
@@ -29,7 +28,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 using namespace swa;
@@ -138,8 +136,7 @@ namespace {
 //   plan       derive each candidate's components from its mutation delta
 //   lookup     resolve components against the one verdict cache and
 //              deduplicate the misses into the round's simulation list
-//   simulate   run the list (early exit, leased arena instances), or take
-//              verdicts from the fleet exchange
+//   simulate   run the list (early exit, leased arena instances)
 //   reduce     fill the cache, merge component verdicts, log, adapt
 //   checkpoint persist cache + loop state at the round boundary
 //
@@ -641,105 +638,12 @@ Eval simulate(SearchContext &Ctx, const Sim &S, int Index) {
 /// workers cannot race on the registry — and the merged totals stay
 /// identical because every simulation publishes the same numbers on
 /// whichever thread runs it.
-///
-/// With a fleet exchange (Exchange.h) a verdict can come from a peer's
-/// publication instead: the simulator is deterministic, so the fetched
-/// verdict equals the one simulate() would compute, and every
-/// SearchResult statistic was fixed on the serial lookup path — swapping
-/// execution for a fetch is observationally invisible.
 void simulateRound(SearchContext &Ctx, RoundWork &W) {
   W.SimEvals.assign(W.Sims.size(), Eval());
-  auto Run = [&](const std::vector<int> &List) {
-    Ctx.Pool.parallelFor(static_cast<int>(List.size()), [&](int K) {
-      int I = List[static_cast<size_t>(K)];
-      W.SimEvals[static_cast<size_t>(I)] =
-          simulate(Ctx, W.Sims[static_cast<size_t>(I)], I);
-    });
-  };
-  std::vector<int> All(W.Sims.size());
-  for (size_t I = 0; I < All.size(); ++I)
-    All[I] = static_cast<int>(I);
-  Exchange *Ex = Ctx.Problem.Ex;
-  if (!Ex) {
-    Run(All);
-    return;
-  }
-
-  auto Fetch = [&](int I) -> bool {
-    const VerdictCache::ComponentEntry *E =
-        Ex->fetchComponent(W.Sims[static_cast<size_t>(I)].Canon);
-    if (!E)
-      return false;
-    Eval &EV = W.SimEvals[static_cast<size_t>(I)];
-    EV.Ok = true;
-    EV.V = E->Verdict;
-    return true;
-  };
-  // Errors and undecided verdicts are never published.
-  auto RunAndPublish = [&](const std::vector<int> &List) {
-    Run(List);
-    for (int I : List) {
-      const Eval &E = W.SimEvals[static_cast<size_t>(I)];
-      const Sim &S = W.Sims[static_cast<size_t>(I)];
-      if (E.Ok)
-        Ex->recordComponent(S.Canon, S.Raw, E.V);
-    }
-    Ex->publish();
-  };
-
-  if (Ex->mode() == Exchange::Mode::Share) {
-    // Racing portfolio: every simulation belongs to this worker, but a
-    // verdict some peer already published is adopted instead. The side
-    // cache is refreshed serially here and only read afterwards
-    // (write-once, node-stable entries).
-    Ex->refresh();
-    std::vector<int> Missing;
-    for (int I : All)
-      if (Fetch(I))
-        ++Ex->Stats.ItemsFetched;
-      else
-        Missing.push_back(I);
-    RunAndPublish(Missing);
-    return;
-  }
-
-  // Shard mode: a deterministic ownership split — lookup is serial, so
-  // every shard sees the identical list and computes the identical
-  // partition. Own simulations run locally and are published; foreign ones
-  // are awaited (bounded), then recomputed locally as the liveness
-  // fallback — a slow or SIGKILLed peer costs wall-clock, never a
-  // different verdict.
-  std::vector<int> Owned, Pending;
-  for (int I : All)
-    (Ex->ownsItem(W.Index, I) ? Owned : Pending).push_back(I);
-  Ex->Stats.ItemsOwned += Owned.size();
-  RunAndPublish(Owned);
-  auto Deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(Ex->FallbackMs);
-  while (!Pending.empty()) {
-    Ex->refresh();
-    size_t Keep = 0;
-    for (int I : Pending) {
-      if (Fetch(I))
-        ++Ex->Stats.ItemsFetched;
-      else
-        Pending[Keep++] = I;
-    }
-    Pending.resize(Keep);
-    if (Pending.empty() ||
-        (Ctx.Problem.Cancel && Ctx.Problem.Cancel->isCancelled()) ||
-        std::chrono::steady_clock::now() >= Deadline)
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    Ex->Stats.WaitMs += 2;
-  }
-  if (!Pending.empty()) {
-    // Fallback: simulate the unresolved foreign items here, and publish
-    // them too — if their owner died, this shard's work keeps the
-    // survivors from each paying the same fallback.
-    Ex->Stats.FallbackSimulations += Pending.size();
-    RunAndPublish(Pending);
-  }
+  Ctx.Pool.parallelFor(static_cast<int>(W.Sims.size()), [&](int I) {
+    W.SimEvals[static_cast<size_t>(I)] =
+        simulate(Ctx, W.Sims[static_cast<size_t>(I)], I);
+  });
 }
 
 /// Fills the cache from the round's simulations (in order of first need —
@@ -1016,7 +920,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   obs::ScopedTimer Timer("schedtool.search");
   SearchResult Res;
 
-  // The metaheuristic: explicit (portfolio worker) or the built-in local
+  // The metaheuristic: explicit (--strategy) or the built-in local
   // search, which reproduces the historical loop draw for draw.
   std::unique_ptr<Strategy> DefaultStrat;
   Strategy *Strat = Problem.Strat;

@@ -37,7 +37,6 @@ namespace schedtool {
 struct Snapshot;      // schedtool/Snapshot.h
 struct SnapshotStats; // schedtool/Snapshot.h
 class Strategy;       // schedtool/Strategy.h
-class Exchange;       // schedtool/Exchange.h
 
 struct SearchProblem {
   /// Cores/partitions/tasks/messages; bindings (Partition::Core) and
@@ -104,16 +103,6 @@ struct SearchProblem {
   /// A checkpoint records the strategy's name and opaque state; resuming
   /// under a different strategy is a typed SnapshotMismatch.
   Strategy *Strat = nullptr;
-  /// Fleet verdict exchange (Exchange.h); null = single-process search.
-  /// In Shard mode the worker runs only the simulations it owns and
-  /// adopts the rest from peers' publications (recomputing any a peer
-  /// has not published within Exchange::FallbackMs, so a dead shard only
-  /// costs time); in Share mode it consults peers before each
-  /// simulation. Either way the SearchResult is byte-identical to the
-  /// exchange-free run: a fetched verdict equals what the deterministic
-  /// simulator would compute, and every SearchResult statistic is a
-  /// serial-path fact fixed before execution begins.
-  Exchange *Ex = nullptr;
 };
 
 struct SearchResult {

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <unordered_map>
 
 using namespace swa;
 using namespace swa::schedtool;
@@ -400,16 +399,6 @@ bool decodeSearchState(Dec &D, Snapshot &S) {
   return D.consumed();
 }
 
-/// Field-wise equality of the decision fields two snapshots must agree
-/// on for one fingerprint (ActionCount is a cost figure — same rule as
-/// VerdictCache's debug assert).
-bool sameDecision(const analysis::VerdictOutcome &A,
-                  const analysis::VerdictOutcome &B) {
-  return A.Schedulable == B.Schedulable && A.Stop == B.Stop &&
-         A.FirstMissTime == B.FirstMissTime &&
-         A.FirstMissTasks == B.FirstMissTasks;
-}
-
 Error corrupt(const std::string &What) {
   return Error::failure(ErrorCode::SnapshotCorrupt, What);
 }
@@ -605,65 +594,6 @@ Result<Snapshot> schedtool::loadSnapshot(const std::string &Path,
   return S;
 }
 
-Error schedtool::mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
-                                SnapshotStats *Stats) {
-  // Stage everything, commit only when the whole merge validated.
-  std::unordered_map<cfg::Fingerprint, const Snapshot::CacheRecord *,
-                     cfg::FingerprintHash>
-      Index;
-  Index.reserve(Dst.ComponentEntries.size());
-  for (const Snapshot::CacheRecord &R : Dst.ComponentEntries)
-    Index.emplace(R.Canon, &R);
-  std::vector<Snapshot::CacheRecord> Fresh;
-  for (const Snapshot::CacheRecord &R : Src.ComponentEntries) {
-    auto It = Index.find(R.Canon);
-    if (It == Index.end()) {
-      Fresh.push_back(R);
-      continue;
-    }
-    if (!sameDecision(It->second->Verdict, R.Verdict))
-      return Error::failure(
-          ErrorCode::SnapshotMismatch,
-          formatString("conflicting verdicts for fingerprint %016llx%016llx "
-                       "- snapshots are not from the same problem universe",
-                       static_cast<unsigned long long>(R.Canon.Hi),
-                       static_cast<unsigned long long>(R.Canon.Lo)));
-  }
-
-  bool AdoptState = false;
-  if (Src.HasSearchState) {
-    if (!Dst.HasSearchState) {
-      AdoptState = true;
-    } else {
-      if (Dst.Seed != Src.Seed || Dst.BatchSize != Src.BatchSize ||
-          Dst.BaseCrc != Src.BaseCrc)
-        return Error::failure(ErrorCode::SnapshotMismatch,
-                              "cannot merge search states of two different "
-                              "searches (seed/batch/base differ)");
-      AdoptState = Src.Iter > Dst.Iter;
-    }
-  }
-
-  // Commit.
-  Dst.ComponentEntries.insert(Dst.ComponentEntries.end(), Fresh.begin(),
-                              Fresh.end());
-  if (AdoptState) {
-    Dst.HasSearchState = true;
-    Dst.Seed = Src.Seed;
-    Dst.BatchSize = Src.BatchSize;
-    Dst.BaseCrc = Src.BaseCrc;
-    Dst.NextRound = Src.NextRound;
-    Dst.Iter = Src.Iter;
-    Dst.RngState = Src.RngState;
-    Dst.Current = Src.Current;
-    Dst.Boost = Src.Boost;
-    Dst.Res = Src.Res;
-  }
-  if (Stats)
-    Stats->ComponentEntriesMerged += Fresh.size();
-  return Error::success();
-}
-
 void schedtool::fillSnapshotReport(obs::RunReport &Report,
                                    const SnapshotStats &Stats) {
   Report.addCount("snapshot.written", Stats.SnapshotsWritten);
@@ -673,17 +603,6 @@ void schedtool::fillSnapshotReport(obs::RunReport &Report,
   Report.addCount("snapshot.entries_merged", Stats.ComponentEntriesMerged);
   Report.addCount("snapshot.write_failures", Stats.WriteFailures);
   Report.addCount("verdict_cache.snapshot_hits", Stats.SnapshotHits);
-}
-
-void schedtool::encodeConfigBytes(const cfg::Config &C, std::string &Out) {
-  Enc E;
-  encodeConfig(E, C);
-  Out.append(E.bytes());
-}
-
-bool schedtool::decodeConfigBytes(const std::string &Data, cfg::Config &C) {
-  Dec D(Data.data(), Data.size());
-  return decodeConfig(D, C) && D.consumed();
 }
 
 std::string schedtool::encodeSearchResultBytes(const SearchResult &Res) {

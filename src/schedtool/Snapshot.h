@@ -55,8 +55,8 @@ namespace swa {
 namespace schedtool {
 
 /// Counters describing checkpoint/snapshot traffic of one run. Filled by
-/// saveSnapshot/loadSnapshot/mergeSnapshots and by the search's
-/// checkpoint loop (SearchProblem::CkptStats). Deliberately *not* part
+/// saveSnapshot/loadSnapshot and by the search's checkpoint loop
+/// (SearchProblem::CkptStats). Deliberately *not* part
 /// of SearchResult: checkpoint cadence is wall-clock dependent, and
 /// SearchResult must stay byte-identical whether or not (and how often)
 /// a run checkpoints.
@@ -65,7 +65,7 @@ struct SnapshotStats {
   uint64_t SnapshotsLoaded = 0;
   uint64_t BytesWritten = 0;
   uint64_t BytesLoaded = 0;
-  /// Cache entries adopted from loaded/merged snapshots.
+  /// Cache entries adopted from a loaded snapshot (Snapshot::seedCache).
   uint64_t ComponentEntriesMerged = 0;
   /// Cache hits served by warm-from-disk entries during the search.
   uint64_t SnapshotHits = 0;
@@ -78,7 +78,7 @@ struct SnapshotStats {
 /// The in-memory image of a snapshot file.
 struct Snapshot {
   /// Version 2 added the strategy name + opaque strategy state to the
-  /// search-state payload (portfolio metaheuristics resume mid-stream).
+  /// search-state payload (stateful metaheuristics resume mid-stream).
   /// Version 3 keeps one level of cache entries: the config-entry record
   /// kind is gone, since a whole config is the one-component case of the
   /// component cache. Older files are rejected with a typed skew error
@@ -94,7 +94,7 @@ struct Snapshot {
   std::vector<CacheRecord> ComponentEntries;
 
   /// Search-in-progress state. Absent (false) when the snapshot is a
-  /// pure cache export — e.g. a fleet member publishing verdicts.
+  /// pure cache export that only pre-warms a search's verdict cache.
   bool HasSearchState = false;
   /// Identity guard: a snapshot resumes only the (seed, batch, base
   /// config) search that wrote it. BaseCrc is the CRC32 of the encoded
@@ -151,37 +151,15 @@ Error saveSnapshot(const Snapshot &S, const std::string &Path,
 Result<Snapshot> loadSnapshot(const std::string &Path,
                               SnapshotStats *Stats = nullptr);
 
-/// Merges \p Src into \p Dst: cache entries are unioned (Dst wins on a
-/// duplicate key; a duplicate whose *verdict decision differs* is a
-/// typed SnapshotMismatch error — the two snapshots cannot be from the
-/// same fingerprint universe), and Dst adopts Src's search state when
-/// Dst has none or Src has progressed further (greater Iter) — in which
-/// case both must carry the same identity triple (Seed, BatchSize,
-/// BaseCrc), else SnapshotMismatch. On error \p Dst is unchanged.
-/// \p Stats (when non-null) accrues ComponentEntriesMerged.
-Error mergeSnapshots(Snapshot &Dst, const Snapshot &Src,
-                     SnapshotStats *Stats = nullptr);
-
 /// Adds the durable-search counters of \p Stats to \p Report under the
 /// snapshot.* keys (the warm-hit count under verdict_cache.snapshot_hits,
 /// matching the obs counter of the same name).
 void fillSnapshotReport(obs::RunReport &Report, const SnapshotStats &Stats);
 
-/// Appends the canonical little-endian wire encoding of \p C to \p Out —
-/// the exact byte stream snapshotBaseCrc hashes. The fleet manifest
-/// (FleetSearch.cpp) embeds configs with it so a worker process rebuilds
-/// the coordinator's SearchProblem bit-for-bit.
-void encodeConfigBytes(const cfg::Config &C, std::string &Out);
-
-/// Decodes a config encoded by encodeConfigBytes (the whole buffer must
-/// be consumed). Returns false on any malformed input, leaving \p C
-/// unspecified.
-bool decodeConfigBytes(const std::string &Data, cfg::Config &C);
-
 /// The canonical wire encoding of a SearchResult — every field,
 /// including log and trajectory. Two results are byte-identical exactly
-/// when these strings are equal; the fleet coordinator's shard-equality
-/// check is literal comparison of them.
+/// when these strings are equal, which is how the resume tests compare a
+/// resumed run with the uninterrupted one.
 std::string encodeSearchResultBytes(const SearchResult &Res);
 
 } // namespace schedtool

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The metaheuristic of the config search, refactored out of the
-/// ConfigSearch round loop so a portfolio of strategies can race on the
-/// same problem (FleetSearch's Share mode). A Strategy owns exactly the
-/// decisions the historical loop made inline:
+/// ConfigSearch round loop so the same problem can be searched under
+/// different strategies (config_search --strategy). A Strategy owns
+/// exactly the decisions the historical loop made inline:
 ///
 ///   - perturb():  how candidate J (J >= 1) of a round is derived from
 ///                 the round's incumbent, driven by the candidate's
@@ -22,8 +22,8 @@
 ///
 /// Strategies are deterministic: every decision is a pure function of
 /// the RNG draws and the inputs, never of time or thread identity, so a
-/// strategy's SearchResult is byte-identical run to run — the fleet
-/// equality contract (FleetSearch.h) depends on it.
+/// strategy's SearchResult is byte-identical run to run, for any worker
+/// count and across a checkpoint/resume.
 ///
 /// The default strategy ("local") reproduces the pre-split loop draw for
 /// draw: a search with no explicit Strategy is byte-identical to every

@@ -72,7 +72,7 @@ public:
     analysis::VerdictOutcome Verdict;
     /// True when the entry arrived via insertComponentSnapshot
     /// (warm-from-disk): a hit on it is a `verdict_cache.snapshot_hits`
-    /// event, telling resume/fleet reuse apart from same-run memoization.
+    /// event, telling resume reuse apart from same-run memoization.
     /// Purely observational — no verdict or search decision reads it.
     bool FromSnapshot = false;
   };

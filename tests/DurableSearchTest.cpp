@@ -16,19 +16,24 @@
 //
 // Plus the degraded modes: warm cache-only start, a snapshot from a
 // different search (typed SnapshotMismatch), and an unwritable
-// checkpoint path (search result unaffected).
+// checkpoint path (search result unaffected); a stateful strategy that
+// resumes mid-stream, a resume under a different strategy (typed
+// SnapshotMismatch), and the config_search CLI rejecting unknown flags
+// and malformed numbers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gen/Workload.h"
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
+#include "schedtool/Strategy.h"
 #include "support/AtomicFile.h"
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -377,6 +382,94 @@ TEST(DurableSearch, UnwritableCheckpointPathNeverChangesTheResult) {
   EXPECT_EQ(Stats.WriteFailures, static_cast<uint64_t>(kCheckpoints));
   EXPECT_FALSE(Stats.LastError.empty());
 }
+
+//===----------------------------------------------------------------------===//
+// Strategy checkpointing: a checkpoint records the strategy that wrote it.
+//===----------------------------------------------------------------------===//
+
+TEST(DurableSearch, ResumeUnderDifferentStrategyIsTypedMismatch) {
+  std::string Ckpt = ::testing::TempDir() + "strategy_swap_" +
+                     std::to_string(::getpid()) + ".snap";
+  std::remove(Ckpt.c_str());
+
+  SearchProblem P = hardProblem();
+  std::unique_ptr<Strategy> Ann = makeStrategy("annealing");
+  P.Strat = Ann.get();
+  P.CheckpointPath = Ckpt;
+  ASSERT_TRUE(searchConfiguration(P).ok());
+
+  Result<Snapshot> S = loadSnapshot(Ckpt);
+  ASSERT_TRUE(S.ok());
+  EXPECT_EQ(S->StrategyName, "annealing");
+
+  std::unique_ptr<Strategy> Gen = makeStrategy("genetic");
+  P.Strat = Gen.get();
+  P.CheckpointPath.clear();
+  P.Resume = &*S;
+  Result<SearchResult> R = searchConfiguration(P);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().code(), ErrorCode::SnapshotMismatch);
+  std::remove(Ckpt.c_str());
+}
+
+TEST(DurableSearch, AnnealingResumeIsByteIdentical) {
+  // The stateful-strategy counterpart of the kill-and-resume contract:
+  // interrupt an annealing search mid-stream (simulated by running with
+  // checkpoints and resuming from a mid-run snapshot) and the final
+  // result matches the uninterrupted run — the temperature ladder
+  // resumes, not resets.
+  std::string Ckpt = ::testing::TempDir() + "anneal_resume_" +
+                     std::to_string(::getpid()) + ".snap";
+  std::remove(Ckpt.c_str());
+
+  SearchProblem P = hardProblem();
+  std::unique_ptr<Strategy> A1 = makeStrategy("annealing");
+  P.Strat = A1.get();
+  Result<SearchResult> Ref = searchConfiguration(P);
+  ASSERT_TRUE(Ref.ok());
+
+  // Interrupted run: 2 of 3 rounds, then resume the rest.
+  SearchProblem Half = hardProblem();
+  Half.MaxIterations = 8;
+  std::unique_ptr<Strategy> A2 = makeStrategy("annealing");
+  Half.Strat = A2.get();
+  Half.CheckpointPath = Ckpt;
+  ASSERT_TRUE(searchConfiguration(Half).ok());
+
+  Result<Snapshot> S = loadSnapshot(Ckpt);
+  ASSERT_TRUE(S.ok());
+  SearchProblem Rest = hardProblem();
+  std::unique_ptr<Strategy> A3 = makeStrategy("annealing");
+  Rest.Strat = A3.get();
+  Rest.Resume = &*S;
+  Result<SearchResult> Resumed = searchConfiguration(Rest);
+  ASSERT_TRUE(Resumed.ok());
+  EXPECT_EQ(encodeSearchResultBytes(*Resumed), encodeSearchResultBytes(*Ref));
+  std::remove(Ckpt.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// The config_search CLI (SWA_CONFIG_SEARCH_BIN, a build-time path).
+//===----------------------------------------------------------------------===//
+
+#ifdef SWA_CONFIG_SEARCH_BIN
+TEST(ConfigSearchCli, RejectsUnknownArguments) {
+  // A removed or misspelled flag must not silently parse as the seed, and
+  // a malformed or out-of-range number must not silently become a
+  // default: usage on stderr and exit 2, before any search runs.
+  for (const char *Arg :
+       {"--no-cache", "--bogus-flag", "7x", "--fleet 4",
+        "--portfolio local,genetic", "--fleet-worker d", "--workers abc",
+        "--workers -2", "--workers 0", "--budget-ms -5",
+        "--checkpoint-every-ms x"}) {
+    std::string Cmd = std::string(SWA_CONFIG_SEARCH_BIN) + " " + Arg +
+                      " >/dev/null 2>&1";
+    int Status = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Arg;
+    EXPECT_EQ(WEXITSTATUS(Status), 2) << Arg;
+  }
+}
+#endif // SWA_CONFIG_SEARCH_BIN
 
 int main(int argc, char **argv) {
   ::testing::InitGoogleTest(&argc, argv);

@@ -19,12 +19,10 @@
 //    trailing garbage. Every single file must be rejected with a typed
 //    non-Generic support::Error — a corrupt snapshot degrades a search
 //    to a cold start, it never smuggles in a wrong verdict.
-//  * mergeSnapshots union/conflict/search-state adoption rules.
 //
 //===----------------------------------------------------------------------===//
 
 #include "gen/Workload.h"
-#include "schedtool/Exchange.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/VerdictCache.h"
 #include "support/AtomicFile.h"
@@ -35,7 +33,6 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <sys/stat.h>
 
 using namespace swa;
 using namespace swa::schedtool;
@@ -326,67 +323,6 @@ TEST(AtomicFileDeath, EveryCrashStageLeavesOldOrNewNeverTorn) {
   std::remove((Path + ".tmp").c_str());
 }
 
-// The exchange-directory race: a fleet worker killed at *any* point
-// inside its publication's AtomicFile commit must never make a reader
-// see a torn exchange file. Before the rename the reader sees no
-// publication at all (the `.tmp` is never opened — refresh() uses exact
-// publication names); at or after the rename it sees the complete new
-// snapshot. In no stage does loadSnapshot on the publication path
-// return a torn/corrupt verdict set, and the reader's refresh() never
-// counts a peer load error.
-TEST(ExchangeDeath, TornPublicationIsNeverVisibleToReaders) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  std::string Dir = testPath("exchange_race");
-  ::system(("rm -rf " + Dir).c_str());
-  ASSERT_EQ(::mkdir(Dir.c_str(), 0777), 0);
-  std::string Pub = Dir + "/shard_0.pub";
-
-  for (const char *Stage : {"byte", "write", "fsync", "rename", "commit"}) {
-    std::remove(Pub.c_str());
-    std::remove((Pub + ".tmp").c_str());
-    EXPECT_EXIT(
-        {
-          setenv("SWA_CRASH_AFTER", Stage, 1);
-          Exchange W;
-          if (W.init(Dir, 0, 2, Exchange::Mode::Shard).isFailure())
-            _exit(2);
-          W.recordComponent({1, 2}, {1, 3}, missVerdict(10, 0));
-          W.publish();
-          std::fprintf(stderr, "no crash at stage %s\n", Stage);
-          _exit(1);
-        },
-        testing::ExitedWithCode(support::AtomicFile::kCrashExitCode), "")
-        << "stage " << Stage;
-    if (testing::internal::InDeathTestChild())
-      continue;
-
-    // A reader shard sweeping the directory right after the writer died.
-    Exchange R;
-    ASSERT_FALSE(R.init(Dir, 1, 2, Exchange::Mode::Shard).isFailure());
-    R.refresh();
-    EXPECT_EQ(R.Stats.PeerLoadErrors, 0u) << "stage " << Stage;
-    const VerdictCache::ComponentEntry *E = R.fetchComponent({1, 2});
-    bool Committed =
-        std::string(Stage) == "rename" || std::string(Stage) == "commit";
-    if (Committed) {
-      // The rename happened: the publication is complete and loads.
-      ASSERT_NE(E, nullptr) << "stage " << Stage;
-      expectSameVerdict(E->Verdict, missVerdict(10, 0));
-      EXPECT_EQ(R.Stats.PeerSnapshotsLoaded, 1u);
-    } else {
-      // Only the writer's temp file exists; the reader must see no
-      // publication — and loadSnapshot on the exact path agrees (a
-      // typed Io "no such file", never a torn-payload rejection).
-      EXPECT_EQ(E, nullptr) << "stage " << Stage;
-      EXPECT_EQ(R.Stats.PeerSnapshotsLoaded, 0u);
-      Result<Snapshot> L = loadSnapshot(Pub);
-      ASSERT_FALSE(L.ok()) << "stage " << Stage;
-      EXPECT_EQ(L.error().code(), ErrorCode::Io) << "stage " << Stage;
-    }
-  }
-  ::system(("rm -rf " + Dir).c_str());
-}
-
 TEST(AtomicFileDeath, NthOccurrenceCountingSelectsTheKthWrite) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   std::string PathA = testPath("crash_a.bin");
@@ -631,65 +567,6 @@ TEST(SnapshotCorpus, BadMagicAndTrailingGarbageAreTyped) {
   expectTypedRejection("not a snapshot at all", "foreign file");
   expectTypedRejection(Full + "garbage", "trailing garbage");
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// mergeSnapshots
-//===----------------------------------------------------------------------===//
-
-TEST(SnapshotMerge, UnionsEntriesDstWins) {
-  Snapshot Dst, Src;
-  Dst.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  Src.ComponentEntries.push_back({{1, 1}, {1, 9}, missVerdict(10, 0)});
-  Src.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
-  Src.ComponentEntries.push_back({{3, 3}, {3, 3}, missVerdict(30, 1)});
-  SnapshotStats Stats;
-  ASSERT_FALSE(mergeSnapshots(Dst, Src, &Stats).isFailure());
-  EXPECT_EQ(Dst.ComponentEntries.size(), 3u);
-  EXPECT_EQ(Stats.ComponentEntriesMerged, 2u);
-  // Dst's original entry survived (its Raw is {1,1}, not Src's {1,9}).
-  EXPECT_EQ(Dst.ComponentEntries[0].Raw, (cfg::Fingerprint{1, 1}));
-}
-
-TEST(SnapshotMerge, ConflictingVerdictIsMismatchAndDstUnchanged) {
-  Snapshot Dst, Src;
-  Dst.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  Src.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(99, 0)});
-  Src.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
-  Error E = mergeSnapshots(Dst, Src);
-  ASSERT_TRUE(E.isFailure());
-  EXPECT_EQ(E.code(), ErrorCode::SnapshotMismatch);
-  EXPECT_EQ(Dst.ComponentEntries.size(), 1u)
-      << "Dst mutated on a failed merge";
-}
-
-TEST(SnapshotMerge, AdoptsFurtherProgressedSearchState) {
-  Snapshot Dst = sampleSnapshot(), Src = sampleSnapshot();
-  Src.Iter = Dst.Iter + 4;
-  Src.NextRound = Dst.NextRound + 1;
-  ASSERT_FALSE(mergeSnapshots(Dst, Src).isFailure());
-  EXPECT_EQ(Dst.Iter, Src.Iter);
-  EXPECT_EQ(Dst.NextRound, Src.NextRound);
-
-  // The other direction: a less-progressed Src must not regress Dst.
-  Snapshot Behind = sampleSnapshot();
-  ASSERT_FALSE(mergeSnapshots(Dst, Behind).isFailure());
-  EXPECT_EQ(Dst.Iter, Src.Iter);
-
-  // A stateless Dst adopts Src's state wholesale.
-  Snapshot Empty;
-  ASSERT_FALSE(mergeSnapshots(Empty, Src).isFailure());
-  EXPECT_TRUE(Empty.HasSearchState);
-  EXPECT_EQ(Empty.Iter, Src.Iter);
-}
-
-TEST(SnapshotMerge, ForeignSearchStateIsMismatch) {
-  Snapshot Dst = sampleSnapshot(), Src = sampleSnapshot();
-  Src.Iter = Dst.Iter + 1; // would be adopted...
-  Src.Seed = Dst.Seed + 1; // ...but belongs to another search
-  Error E = mergeSnapshots(Dst, Src);
-  ASSERT_TRUE(E.isFailure());
-  EXPECT_EQ(E.code(), ErrorCode::SnapshotMismatch);
 }
 
 int main(int argc, char **argv) {
