@@ -20,14 +20,45 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 using namespace swa;
+
+namespace {
+
+/// core::buildModel, its time added to \p TotalNs (the model's
+/// destruction excluded).
+Result<core::BuiltModel> timedBuild(double &TotalNs, const cfg::Config &Config,
+                                    bool PublishMetrics = true,
+                                    core::BytecodeCache *Cache = nullptr) {
+  auto T0 = std::chrono::steady_clock::now();
+  Result<core::BuiltModel> Model =
+      core::buildModel(Config, PublishMetrics, Cache);
+  TotalNs += std::chrono::duration<double, std::nano>(
+                 std::chrono::steady_clock::now() - T0)
+                 .count();
+  return Model;
+}
+
+/// E3's linearity read straight off the bench output: build time per job,
+/// flat across arguments when Algorithm 1 is linear.
+void setNsPerJob(benchmark::State &State, const cfg::Config &Config,
+                 double TotalNs) {
+  double Builds = static_cast<double>(State.iterations());
+  double Jobs = static_cast<double>(Config.jobCount());
+  State.counters["ns_per_job"] =
+      Builds > 0 && Jobs > 0 ? TotalNs / (Builds * Jobs) : 0.0;
+}
+
+} // namespace
 
 static void BM_BuildModel(benchmark::State &State) {
   int64_t TargetJobs = State.range(0);
   cfg::Config Config = gen::industrialConfigWithJobs(TargetJobs, /*Seed=*/1);
   size_t Automata = 0;
+  double TotalNs = 0;
   for (auto _ : State) {
-    Result<core::BuiltModel> Model = core::buildModel(Config);
+    Result<core::BuiltModel> Model = timedBuild(TotalNs, Config);
     if (!Model.ok()) {
       State.SkipWithError(Model.error().message().c_str());
       return;
@@ -37,6 +68,7 @@ static void BM_BuildModel(benchmark::State &State) {
   }
   State.counters["jobs"] = static_cast<double>(Config.jobCount());
   State.counters["automata"] = static_cast<double>(Automata);
+  setNsPerJob(State, Config, TotalNs);
 }
 BENCHMARK(BM_BuildModel)
     ->Arg(500)
@@ -65,9 +97,10 @@ static void BM_BuildModelSharedBytecode(benchmark::State &State) {
     return;
   }
   size_t Automata = 0;
+  double TotalNs = 0;
   for (auto _ : State) {
     Result<core::BuiltModel> Model =
-        core::buildModel(Config, /*PublishMetrics=*/false, &Cache);
+        timedBuild(TotalNs, Config, /*PublishMetrics=*/false, &Cache);
     if (!Model.ok()) {
       State.SkipWithError(Model.error().message().c_str());
       return;
@@ -78,6 +111,7 @@ static void BM_BuildModelSharedBytecode(benchmark::State &State) {
   State.counters["jobs"] = static_cast<double>(Config.jobCount());
   State.counters["automata"] = static_cast<double>(Automata);
   State.counters["bytecode_shapes"] = static_cast<double>(Cache.size());
+  setNsPerJob(State, Config, TotalNs);
 }
 BENCHMARK(BM_BuildModelSharedBytecode)
     ->Arg(500)

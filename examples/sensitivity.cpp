@@ -18,6 +18,10 @@
 // the convergence granularity of the tick-valued searches (default 1:
 // adjacent certificates). --workers fans the (task, parameter) queries
 // out over N threads; the printed summary is byte-identical for every N.
+// Numeric values are non-negative decimal integers (--tolerance and
+// --workers at least 1); a malformed or missing value, and any other
+// argument that is not such an integer seed, is rejected with the usage
+// text (exit 1; exit 2 means the base configuration stayed undecided).
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +32,7 @@
 #include "obs/Span.h"
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,28 +40,77 @@
 
 using namespace swa;
 
+static const char kUsage[] =
+    "usage: sensitivity [seed] [--param wcet|period|offset|frontier|all]\n"
+    "                   [--tolerance TICKS] [--workers N] [--budget-ms MS]\n"
+    "                   [--report-out FILE] [--trace-out FILE]\n";
+
+// A non-negative decimal integer, nothing else: the positional seed and
+// every numeric flag value.
+static bool parseDecimal(const char *Arg, uint64_t &Out) {
+  if (*Arg < '0' || *Arg > '9')
+    return false;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Arg, &End, 10);
+  if (*End != '\0')
+    return false;
+  Out = V;
+  return true;
+}
+
 int main(int argc, char **argv) {
   uint64_t Seed = 7;
   const char *Param = "all";
-  cfg::TimeValue Tolerance = 1;
-  int Workers = 1;
+  int64_t Tolerance = 1;
+  int64_t Workers = 1;
   int64_t BudgetMs = -1;
   const char *TraceOut = nullptr, *ReportOut = nullptr;
   for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--param") == 0 && I + 1 < argc)
-      Param = argv[++I];
-    else if (std::strcmp(argv[I], "--tolerance") == 0 && I + 1 < argc)
-      Tolerance = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--workers") == 0 && I + 1 < argc)
-      Workers = std::atoi(argv[++I]);
-    else if (std::strcmp(argv[I], "--budget-ms") == 0 && I + 1 < argc)
-      BudgetMs = std::strtoll(argv[++I], nullptr, 10);
-    else if (std::strcmp(argv[I], "--trace-out") == 0 && I + 1 < argc)
-      TraceOut = argv[++I];
-    else if (std::strcmp(argv[I], "--report-out") == 0 && I + 1 < argc)
-      ReportOut = argv[++I];
-    else
-      Seed = std::strtoull(argv[I], nullptr, 10);
+    // Numeric flags: a value outside [Min, Max] — negative, malformed or
+    // missing — is a usage error, never a silent default.
+    int64_t *Num = nullptr;
+    int64_t Min = 0, Max = INT64_MAX;
+    if (std::strcmp(argv[I], "--tolerance") == 0) {
+      Num = &Tolerance;
+      Min = 1;
+    } else if (std::strcmp(argv[I], "--workers") == 0) {
+      Num = &Workers;
+      Min = 1;
+      Max = INT_MAX;
+    } else if (std::strcmp(argv[I], "--budget-ms") == 0) {
+      Num = &BudgetMs;
+    }
+    // String flags take the next argument, whatever it is.
+    const char **Str = nullptr;
+    if (std::strcmp(argv[I], "--param") == 0)
+      Str = &Param;
+    else if (std::strcmp(argv[I], "--trace-out") == 0)
+      Str = &TraceOut;
+    else if (std::strcmp(argv[I], "--report-out") == 0)
+      Str = &ReportOut;
+
+    if (Num) {
+      uint64_t V = 0;
+      if (I + 1 >= argc || !parseDecimal(argv[I + 1], V) ||
+          V < static_cast<uint64_t>(Min) || V > static_cast<uint64_t>(Max)) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n%s",
+                     I + 1 < argc ? argv[I + 1] : "", argv[I], kUsage);
+        return 1;
+      }
+      *Num = static_cast<int64_t>(V);
+      ++I;
+    } else if (Str) {
+      if (I + 1 >= argc) {
+        std::fprintf(stderr, "error: missing value for %s\n%s", argv[I],
+                     kUsage);
+        return 1;
+      }
+      *Str = argv[++I];
+    } else if (!parseDecimal(argv[I], Seed)) {
+      std::fprintf(stderr, "error: unrecognized argument '%s'\n%s", argv[I],
+                   kUsage);
+      return 1;
+    }
   }
 
   if (TraceOut || ReportOut)
@@ -82,7 +136,7 @@ int main(int argc, char **argv) {
 
   analysis::SensitivityOptions Opts;
   Opts.ToleranceTicks = Tolerance;
-  Opts.Workers = Workers;
+  Opts.Workers = static_cast<int>(Workers);
   Opts.ProbeBudgetMs = BudgetMs;
   if (std::strcmp(Param, "all") != 0) {
     Opts.QueryWcet = std::strcmp(Param, "wcet") == 0;
@@ -114,7 +168,7 @@ int main(int argc, char **argv) {
   std::printf("\n%d probes in %.3f s (%.0f probes/s, workers=%d)\n",
               Res->TotalProbes, ElapsedSec,
               ElapsedSec > 0 ? Res->TotalProbes / ElapsedSec : 0.0,
-              Workers);
+              static_cast<int>(Workers));
 
   if (TraceOut) {
     std::ofstream OS(TraceOut);

@@ -64,32 +64,17 @@ CoreWindowTable coreWindowTable(const cfg::Config &Config, size_t C) {
   return Out;
 }
 
-} // namespace
-
-Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
-                                         bool PublishMetrics,
-                                         BytecodeCache *Bytecode) {
-  obs::ScopedTimer Timer("build");
-  if (Error E = Config.validate())
-    return E.withContext("invalid configuration");
-
-  BuiltModel Out;
-  Out.Config = Config;
-
+/// Algorithm 1's instance loop: one Task automaton per task, one task
+/// scheduler per partition, one core scheduler per used core and one
+/// virtual link per message, recording the task/scheduler automaton
+/// indices into \p Out.
+Error instantiateComponents(const cfg::Config &Config,
+                            const models::ModelLibrary &Lib,
+                            sa::NetworkBuilder &NB, BuiltModel &Out) {
+  obs::ScopedTimer Timer("instantiate");
   int NT = Config.numTasks();
   int NP = static_cast<int>(Config.Partitions.size());
-  int NL = static_cast<int>(Config.Messages.size());
   cfg::TimeValue L = Config.hyperperiod();
-
-  sa::NetworkBuilder NB;
-  if (Error E = NB.addGlobals(models::globalDeclsSource(NT, NP, NL)))
-    return E;
-
-  Result<std::unique_ptr<models::ModelLibrary>> LibOrErr =
-      models::ModelLibrary::create(NB.globalDecls());
-  if (!LibOrErr.ok())
-    return LibOrErr.takeError();
-  models::ModelLibrary &Lib = **LibOrErr;
 
   // Input links per task (message indices where the task receives).
   std::vector<std::vector<int64_t>> InLinks(static_cast<size_t>(NT));
@@ -188,15 +173,52 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     (*VL)->Meta["kind"] = 4; // Virtual link.
     ++AutCount;
   }
+  return Error::success();
+}
 
+} // namespace
+
+Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
+                                         bool PublishMetrics,
+                                         BytecodeCache *Bytecode) {
+  obs::ScopedTimer Timer("build");
+  if (Error E = Config.validate())
+    return E.withContext("invalid configuration");
+
+  BuiltModel Out;
+  Out.Config = Config;
+
+  int NT = Config.numTasks();
+  int NP = static_cast<int>(Config.Partitions.size());
+  int NL = static_cast<int>(Config.Messages.size());
+  cfg::TimeValue L = Config.hyperperiod();
+
+  sa::NetworkBuilder NB;
+  std::unique_ptr<models::ModelLibrary> Lib;
+  {
+    obs::ScopedTimer LibTimer("library");
+    if (Error E = NB.addGlobals(models::globalDeclsSource(NT, NP, NL)))
+      return E;
+    Result<std::unique_ptr<models::ModelLibrary>> LibOrErr =
+        models::ModelLibrary::create(NB.globalDecls());
+    if (!LibOrErr.ok())
+      return LibOrErr.takeError();
+    Lib = LibOrErr.takeValue();
+  }
+
+  if (Error E = instantiateComponents(Config, *Lib, NB, Out))
+    return E;
   Result<std::unique_ptr<sa::Network>> Net = NB.finish();
   if (!Net.ok())
     return Net.takeError();
   Out.Net = Net.takeValue();
   // Structural sanity (catches wiring mistakes, e.g. from user-supplied
   // component models), then compile all USL code to bytecode.
-  if (Error E = sa::checkNetwork(*Out.Net))
-    return E.withContext("model validation");
+  {
+    obs::ScopedTimer CheckTimer("check");
+    if (Error E = sa::checkNetwork(*Out.Net))
+      return E.withContext("model validation");
+  }
   // Same-shape configs compile to identical bytecode (the window tables
   // are data, not code), so consult the shape-keyed cache before paying
   // for compilation. Inject falls back to compiling defensively if the

@@ -62,12 +62,13 @@ struct BuiltModel {
 /// structurally identical networks whose USL sources differ only in the
 /// window tables — which reach the model as per-instance *data*, never
 /// as code (see WindowRebinder below) — so their compiled bytecode is
-/// byte-for-byte interchangeable. Compilation dominates construction
-/// (build ~24 ms + compile ~7 ms vs simulate ~2 ms on the bench
-/// workloads), so reusing it across same-shape builds removes the
-/// biggest fixed cost of an arena miss. Thread-safe; entries are
-/// immutable once inserted (shared_ptr<const>), so concurrent arena
-/// leases can hold the same bytecode.
+/// byte-for-byte interchangeable. Compilation is about a fifth of a
+/// build (12.5k jobs, Release, 4-core Xeon VM: instantiate ~150 ms and
+/// compile ~40 ms of a ~200 ms build), so reusing it across same-shape
+/// builds removes the largest step after instantiation from an arena
+/// miss. Thread-safe; entries are immutable once inserted
+/// (shared_ptr<const>), so concurrent arena leases can hold the same
+/// bytecode.
 class BytecodeCache {
 public:
   std::shared_ptr<const sa::NetworkBytecode>

@@ -10,7 +10,6 @@
 #include "usl/Interp.h"
 #include "usl/Parser.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 using namespace swa;
@@ -296,7 +295,7 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
     ReadSets = std::make_unique<usl::ReadSetCollector>(Net->Bind.FuncTable);
   else
     ReadSets->refresh();
-  std::vector<int32_t> Reads;
+  usl::ReadSet Reads;
   for (const Edge &E : A->Edges) {
     if (E.DataGuard)
       ReadSets->collect(*E.DataGuard, Reads);
@@ -315,8 +314,8 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
   }
 
   // Apply the template's read hints: for each hinted global array, drop
-  // the conservative whole-array contribution and substitute the promised
-  // elements.
+  // every read of it, whole-array entries unexpanded, and substitute the
+  // promised elements.
   for (const Template::ReadHintDef &HD : T.readHints()) {
     int ArrBase = -1, ArrSize = 0;
     for (const VarInfo &V : Net->Vars)
@@ -328,12 +327,7 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
     if (ArrBase < 0)
       return Error::failure(Context("read hint references unknown array '" +
                                     HD.Array + "'"));
-    Reads.erase(std::remove_if(Reads.begin(), Reads.end(),
-                               [&](int32_t S) {
-                                 return S >= ArrBase &&
-                                        S < ArrBase + ArrSize;
-                               }),
-                Reads.end());
+    Reads.dropArray(ArrBase, ArrSize);
     if (HD.isRange()) {
       Result<int64_t> Base = Binder.bindAndFold(*HD.Base);
       Result<int64_t> Count = Binder.bindAndFold(*HD.Count);
@@ -343,7 +337,7 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
       for (int64_t I = 0; I < *Count; ++I) {
         int64_t Idx = *Base + I;
         if (Idx >= 0 && Idx < ArrSize)
-          Reads.push_back(static_cast<int32_t>(ArrBase + Idx));
+          Reads.Slots.push_back(static_cast<int32_t>(ArrBase + Idx));
       }
     } else {
       Result<int64_t> Count = Binder.bindAndFold(*HD.ElemsCount);
@@ -362,14 +356,13 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
            ++I) {
         int64_t Idx = (*Values)[static_cast<size_t>(I)];
         if (Idx >= 0 && Idx < ArrSize)
-          Reads.push_back(static_cast<int32_t>(ArrBase + Idx));
+          Reads.Slots.push_back(static_cast<int32_t>(ArrBase + Idx));
       }
     }
   }
 
-  std::sort(Reads.begin(), Reads.end());
-  Reads.erase(std::unique(Reads.begin(), Reads.end()), Reads.end());
-  A->StaticReads = std::move(Reads);
+  // Only un-hinted arrays expand, once per instance.
+  A->StaticReads = Reads.expand();
 
   // Record which ConstArrays slot each array parameter was interned at,
   // so post-build passes (core::WindowRebinder) can patch an instance's

@@ -1,4 +1,4 @@
-//===- usl/Ast.cpp - USL AST cloning --------------------------------------===//
+//===- usl/Ast.cpp - USL AST node copies ----------------------------------===//
 //
 // Part of the swa-sched project.
 //
@@ -9,7 +9,7 @@
 using namespace swa;
 using namespace swa::usl;
 
-ExprPtr swa::usl::cloneExpr(const Expr &E) {
+ExprPtr swa::usl::copyExprNode(const Expr &E) {
   auto Out = std::make_unique<Expr>();
   Out->Kind = E.Kind;
   Out->Ty = E.Ty;
@@ -25,13 +25,10 @@ ExprPtr swa::usl::cloneExpr(const Expr &E) {
   Out->BOp = E.BOp;
   Out->ClockAtom = E.ClockAtom;
   Out->HasClockAtom = E.HasClockAtom;
-  Out->Children.reserve(E.Children.size());
-  for (const ExprPtr &C : E.Children)
-    Out->Children.push_back(cloneExpr(*C));
   return Out;
 }
 
-StmtPtr swa::usl::cloneStmt(const Stmt &S) {
+StmtPtr swa::usl::copyStmtNode(const Stmt &S) {
   auto Out = std::make_unique<Stmt>();
   Out->Kind = S.Kind;
   Out->Loc = S.Loc;
@@ -39,18 +36,5 @@ StmtPtr swa::usl::cloneStmt(const Stmt &S) {
   Out->DeclFrameSlot = S.DeclFrameSlot;
   Out->DeclFrameCount = S.DeclFrameCount;
   Out->AOp = S.AOp;
-  if (S.Target)
-    Out->Target = cloneExpr(*S.Target);
-  if (S.Value)
-    Out->Value = cloneExpr(*S.Value);
-  if (S.Cond)
-    Out->Cond = cloneExpr(*S.Cond);
-  if (S.Then)
-    Out->Then = cloneStmt(*S.Then);
-  if (S.Else)
-    Out->Else = cloneStmt(*S.Else);
-  Out->Body.reserve(S.Body.size());
-  for (const StmtPtr &B : S.Body)
-    Out->Body.push_back(cloneStmt(*B));
   return Out;
 }

@@ -187,8 +187,9 @@ struct Expr {
   }
 };
 
-/// Deep copy of an expression tree (resolutions included).
-ExprPtr cloneExpr(const Expr &E);
+/// Copy of one expression node, resolutions included, without its
+/// children (the Binder fills those in bottom-up).
+ExprPtr copyExprNode(const Expr &E);
 
 //===----------------------------------------------------------------------===//
 // Statements
@@ -238,8 +239,9 @@ struct Stmt {
   StmtPtr Else;
 };
 
-/// Deep copy of a statement tree.
-StmtPtr cloneStmt(const Stmt &S);
+/// Copy of one statement node without its sub-expressions and
+/// sub-statements (the Binder fills those in bottom-up).
+StmtPtr copyStmtNode(const Stmt &S);
 
 //===----------------------------------------------------------------------===//
 // Functions

@@ -51,13 +51,15 @@ Result<int> Binder::bindFunc(const FuncDecl *F) {
 }
 
 Result<ExprPtr> Binder::bindExpr(const Expr &E) {
-  ExprPtr Out = cloneExpr(E);
-  // Bind children first (clone already copied them; rebind in place).
-  for (ExprPtr &C : Out->Children) {
+  // Bind bottom-up: each source node is copied once, into a node whose
+  // children are the already-bound copies of its own.
+  ExprPtr Out = copyExprNode(E);
+  Out->Children.reserve(E.Children.size());
+  for (const ExprPtr &C : E.Children) {
     Result<ExprPtr> B = bindExpr(*C);
     if (!B.ok())
       return B;
-    C = B.takeValue();
+    Out->Children.push_back(B.takeValue());
   }
 
   auto ErrAt = [&](const std::string &Msg) {
@@ -207,7 +209,7 @@ Result<ExprPtr> Binder::bindExpr(const Expr &E) {
 }
 
 Result<StmtPtr> Binder::bindStmt(const Stmt &S) {
-  StmtPtr Out = cloneStmt(S);
+  StmtPtr Out = copyStmtNode(S);
   if (Out->Kind == StmtKind::LocalDecl) {
     // Copy the frame extent out of the Symbol: bound trees must be usable
     // after the template's declarations are gone.
@@ -216,41 +218,42 @@ Result<StmtPtr> Binder::bindStmt(const Stmt &S) {
         S.DeclSym->Ty.isArray() ? S.DeclSym->Ty.Size : 1;
     Out->DeclSym = nullptr;
   }
-  if (Out->Target) {
-    Result<ExprPtr> B = bindExpr(*Out->Target);
+  if (S.Target) {
+    Result<ExprPtr> B = bindExpr(*S.Target);
     if (!B.ok())
       return B.takeError();
     Out->Target = B.takeValue();
   }
-  if (Out->Value) {
-    Result<ExprPtr> B = bindExpr(*Out->Value);
+  if (S.Value) {
+    Result<ExprPtr> B = bindExpr(*S.Value);
     if (!B.ok())
       return B.takeError();
     Out->Value = B.takeValue();
   }
-  if (Out->Cond) {
-    Result<ExprPtr> B = bindExpr(*Out->Cond);
+  if (S.Cond) {
+    Result<ExprPtr> B = bindExpr(*S.Cond);
     if (!B.ok())
       return B.takeError();
     Out->Cond = B.takeValue();
   }
-  if (Out->Then) {
-    Result<StmtPtr> B = bindStmt(*Out->Then);
+  if (S.Then) {
+    Result<StmtPtr> B = bindStmt(*S.Then);
     if (!B.ok())
       return B;
     Out->Then = B.takeValue();
   }
-  if (Out->Else) {
-    Result<StmtPtr> B = bindStmt(*Out->Else);
+  if (S.Else) {
+    Result<StmtPtr> B = bindStmt(*S.Else);
     if (!B.ok())
       return B;
     Out->Else = B.takeValue();
   }
-  for (StmtPtr &B : Out->Body) {
+  Out->Body.reserve(S.Body.size());
+  for (const StmtPtr &B : S.Body) {
     Result<StmtPtr> R = bindStmt(*B);
     if (!R.ok())
       return R;
-    B = R.takeValue();
+    Out->Body.push_back(R.takeValue());
   }
   return Out;
 }

@@ -313,8 +313,38 @@ void swa::usl::execStmts(const std::vector<StmtPtr> &Stmts, EvalContext &Ctx,
 }
 
 //===----------------------------------------------------------------------===//
-// ReadSetCollector
+// ReadSet / ReadSetCollector
 //===----------------------------------------------------------------------===//
+
+void ReadSet::append(const ReadSet &Other) {
+  Slots.insert(Slots.end(), Other.Slots.begin(), Other.Slots.end());
+  Arrays.insert(Arrays.end(), Other.Arrays.begin(), Other.Arrays.end());
+}
+
+void ReadSet::dropArray(int32_t Base, int32_t Size) {
+  std::erase_if(Arrays, [&](const ArrayRead &A) { return A.Base == Base; });
+  std::erase_if(Slots,
+                [&](int32_t S) { return S >= Base && S < Base + Size; });
+}
+
+void ReadSet::normalize() {
+  std::sort(Slots.begin(), Slots.end());
+  Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
+  std::sort(Arrays.begin(), Arrays.end());
+  Arrays.erase(std::unique(Arrays.begin(), Arrays.end()), Arrays.end());
+}
+
+std::vector<int32_t> ReadSet::expand() const {
+  ReadSet Unique = *this;
+  Unique.normalize();
+  std::vector<int32_t> Out = std::move(Unique.Slots);
+  for (const ArrayRead &A : Unique.Arrays)
+    for (int32_t I = 0; I < A.Size; ++I)
+      Out.push_back(A.Base + I);
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
 
 ReadSetCollector::ReadSetCollector(
     const std::vector<const FuncDecl *> &FuncTable)
@@ -334,76 +364,58 @@ void ReadSetCollector::refresh() {
   while (Changed && ++Guard < 64) {
     Changed = false;
     for (size_t I = Done; I < FuncTable.size(); ++I) {
-      std::vector<int32_t> Slots;
+      ReadSet Reads;
       if (FuncTable[I]->Body)
-        scanStmt(*FuncTable[I]->Body, Slots);
-      std::sort(Slots.begin(), Slots.end());
-      Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
-      if (Slots != FuncReads[I]) {
-        FuncReads[I] = std::move(Slots);
+        collect(*FuncTable[I]->Body, Reads);
+      Reads.normalize();
+      if (Reads != FuncReads[I]) {
+        FuncReads[I] = std::move(Reads);
         Changed = true;
       }
     }
   }
 }
 
-void ReadSetCollector::collect(const Expr &E,
-                               std::vector<int32_t> &Slots) const {
-  scanExpr(E, Slots);
-}
-
-void ReadSetCollector::collect(const Stmt &S,
-                               std::vector<int32_t> &Slots) const {
-  scanStmt(S, Slots);
-}
-
-void ReadSetCollector::scanExpr(const Expr &E,
-                                std::vector<int32_t> &Slots) const {
+void ReadSetCollector::collect(const Expr &E, ReadSet &Reads) const {
   switch (E.Kind) {
   case ExprKind::VarRef:
     if (E.Ref == RefKind::Store)
-      Slots.push_back(E.Slot);
+      Reads.Slots.push_back(E.Slot);
     break;
   case ExprKind::Index:
     if (E.Ref == RefKind::Store) {
       // Constant indices contribute one slot; dynamic indices may read any
       // element (templates can tighten this via read hints).
       Result<int64_t> Idx = foldConst(*E.Children[0]);
-      if (Idx.ok() && *Idx >= 0 && *Idx < E.ArraySize) {
-        Slots.push_back(E.Slot + static_cast<int32_t>(*Idx));
-      } else {
-        for (int I = 0; I < E.ArraySize; ++I)
-          Slots.push_back(E.Slot + I);
-      }
+      if (Idx.ok() && *Idx >= 0 && *Idx < E.ArraySize)
+        Reads.Slots.push_back(E.Slot + static_cast<int32_t>(*Idx));
+      else
+        Reads.Arrays.push_back({E.Slot, E.ArraySize});
     }
     break;
   case ExprKind::Call:
     if (E.FuncIndex >= 0 &&
-        static_cast<size_t>(E.FuncIndex) < FuncReads.size()) {
-      const std::vector<int32_t> &FR =
-          FuncReads[static_cast<size_t>(E.FuncIndex)];
-      Slots.insert(Slots.end(), FR.begin(), FR.end());
-    }
+        static_cast<size_t>(E.FuncIndex) < FuncReads.size())
+      Reads.append(FuncReads[static_cast<size_t>(E.FuncIndex)]);
     break;
   default:
     break;
   }
   for (const ExprPtr &C : E.Children)
-    scanExpr(*C, Slots);
+    collect(*C, Reads);
 }
 
-void ReadSetCollector::scanStmt(const Stmt &S,
-                                std::vector<int32_t> &Slots) const {
+void ReadSetCollector::collect(const Stmt &S, ReadSet &Reads) const {
   if (S.Target)
-    scanExpr(*S.Target, Slots);
+    collect(*S.Target, Reads);
   if (S.Value)
-    scanExpr(*S.Value, Slots);
+    collect(*S.Value, Reads);
   if (S.Cond)
-    scanExpr(*S.Cond, Slots);
+    collect(*S.Cond, Reads);
   if (S.Then)
-    scanStmt(*S.Then, Slots);
+    collect(*S.Then, Reads);
   if (S.Else)
-    scanStmt(*S.Else, Slots);
+    collect(*S.Else, Reads);
   for (const StmtPtr &B : S.Body)
-    scanStmt(*B, Slots);
+    collect(*B, Reads);
 }

@@ -22,6 +22,7 @@
 
 #include "usl/Ast.h"
 
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -62,10 +63,38 @@ int64_t evalExpr(const Expr &E, EvalContext &Ctx, size_t FrameBase);
 void execStmts(const std::vector<StmtPtr> &Stmts, EvalContext &Ctx,
                size_t FrameBase);
 
+/// The store slots a piece of code may read. Constant-index and scalar
+/// reads are single slots; a dynamically indexed store array stays
+/// symbolic as one (base, size) entry, so a read set costs what the code
+/// costs, not what the array costs. Consumers narrow the array entries
+/// (templates' read hints drop them) before expanding the rest.
+struct ReadSet {
+  struct ArrayRead {
+    int32_t Base = 0;
+    int32_t Size = 0;
+    auto operator<=>(const ArrayRead &) const = default;
+  };
+  std::vector<int32_t> Slots;
+  std::vector<ArrayRead> Arrays;
+
+  bool operator==(const ReadSet &) const = default;
+
+  void append(const ReadSet &Other);
+  /// Forgets every read of the store array at [Base, Base + Size): its
+  /// whole-array entries, unexpanded, and its single slots. Store
+  /// variables never overlap, so an entry at Base is that array.
+  void dropArray(int32_t Base, int32_t Size);
+  /// Sorts and deduplicates both lists.
+  void normalize();
+  /// Every slot of the set, array entries expanded: sorted, unique.
+  std::vector<int32_t> expand() const;
+};
+
 /// Computes, per function of a (growing) function table, the set of store
 /// slots it may transitively read. Used to build the simulator's variable
 /// watch lists. Array accesses with constant indices contribute a single
-/// slot; dynamic indices conservatively contribute the whole array.
+/// slot; dynamic indices contribute a whole-array ReadSet entry, which a
+/// call site propagates as is.
 ///
 /// The collector is incremental: refresh() processes only functions added
 /// to the table since the last call (running the recursion fixpoint over
@@ -78,17 +107,14 @@ public:
   /// Processes newly appended functions.
   void refresh();
 
-  /// Adds every store slot \p E may read to \p Slots (deduplicated set
-  /// semantics are the caller's concern; slots may repeat).
-  void collect(const Expr &E, std::vector<int32_t> &Slots) const;
-  void collect(const Stmt &S, std::vector<int32_t> &Slots) const;
+  /// Adds everything \p E may read to \p Reads (entries may repeat;
+  /// ReadSet::normalize or expand deduplicates).
+  void collect(const Expr &E, ReadSet &Reads) const;
+  void collect(const Stmt &S, ReadSet &Reads) const;
 
 private:
-  void scanExpr(const Expr &E, std::vector<int32_t> &Slots) const;
-  void scanStmt(const Stmt &S, std::vector<int32_t> &Slots) const;
-
   const std::vector<const FuncDecl *> &FuncTable;
-  std::vector<std::vector<int32_t>> FuncReads;
+  std::vector<ReadSet> FuncReads;
 };
 
 } // namespace usl

@@ -6,6 +6,9 @@
 
 #include "analysis/Analyzer.h"
 #include "core/InstanceBuilder.h"
+#include "gen/Workload.h"
+#include "sa/Compile.h"
+#include "sa/Printer.h"
 #include "tests/TestConfigs.h"
 
 #include <gtest/gtest.h>
@@ -237,6 +240,106 @@ TEST(Analyzer, TraceDeterminismUnderRandomizedInterleaving) {
     ASSERT_TRUE(Out.ok()) << Out.error().message();
     EXPECT_TRUE(jobTracesEquivalent(Ref->Analysis, Out->Analysis))
         << "seed " << Seed;
+  }
+}
+
+namespace {
+
+/// FNV-1a digests of what Algorithm 1 produces for one configuration:
+/// every automaton's static read set, the printed network, and the
+/// compiled code sites plus constant tables (which cover function bodies
+/// the printer elides).
+struct ConstructionDigest {
+  uint64_t Reads = 0;
+  uint64_t Network = 0;
+  uint64_t Code = 0;
+};
+
+constexpr uint64_t FnvOffset = 1469598103934665603ull;
+
+uint64_t fnv(uint64_t H, const void *Data, size_t Size) {
+  const auto *Bytes = static_cast<const unsigned char *>(Data);
+  for (size_t I = 0; I < Size; ++I) {
+    H ^= Bytes[I];
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+template <class T> uint64_t fnvValue(uint64_t H, T V) {
+  return fnv(H, &V, sizeof V);
+}
+
+ConstructionDigest digestConstruction(const cfg::Config &C) {
+  ConstructionDigest D;
+  auto Model = core::buildModel(C);
+  EXPECT_TRUE(Model.ok()) << Model.error().message();
+  if (!Model.ok())
+    return D;
+  const sa::Network &Net = *Model->Net;
+  D.Reads = FnvOffset;
+  for (const auto &A : Net.Automata) {
+    D.Reads = fnvValue<uint64_t>(D.Reads, A->StaticReads.size());
+    for (int32_t Slot : A->StaticReads)
+      D.Reads = fnvValue(D.Reads, Slot);
+  }
+  std::string Printed = sa::printNetwork(Net);
+  D.Network = fnv(FnvOffset, Printed.data(), Printed.size());
+  sa::NetworkBytecode BC;
+  sa::extractBytecode(Net, BC);
+  D.Code = FnvOffset;
+  for (const usl::Code &Site : BC.Sites) {
+    D.Code = fnvValue<uint64_t>(D.Code, Site.size());
+    for (const usl::Insn &I : Site) {
+      D.Code = fnvValue(D.Code, static_cast<uint8_t>(I.Code));
+      D.Code = fnvValue(D.Code, I.A);
+      D.Code = fnvValue(D.Code, I.Imm);
+    }
+  }
+  for (const std::vector<int64_t> &Arr : Net.Bind.ConstArrays) {
+    D.Code = fnvValue<uint64_t>(D.Code, Arr.size());
+    for (int64_t V : Arr)
+      D.Code = fnvValue(D.Code, V);
+  }
+  return D;
+}
+
+cfg::Config withScheduler(cfg::Config C, cfg::SchedulerKind K) {
+  for (cfg::Partition &P : C.Partitions)
+    P.Scheduler = K;
+  return C;
+}
+
+} // namespace
+
+// Construction is pinned to the output of the original, fully expanding
+// read-set collection and deep-cloning binder: symbolic whole-array reads
+// and single-pass binding must not change a single slot, label or
+// instruction.
+TEST(InstanceBuilder, ConstructionMatchesPinnedDigests) {
+  struct Case {
+    const char *Name;
+    cfg::Config C;
+    ConstructionDigest Want;
+  };
+  const Case Cases[] = {
+      {"industrial-2500", gen::industrialConfigWithJobs(2500, 1),
+       {0xed4661088a2696bbull, 0x34170a6f43fced1eull,
+        0xb2c6fe092c374a72ull}},
+      {"producer-consumer-fpnps",
+       withScheduler(testcfg::producerConsumer(), cfg::SchedulerKind::FPNPS),
+       {0x234883ec0aaeba00ull, 0x4be316386117bff5ull,
+        0x443782faf3580881ull}},
+      {"producer-consumer-edf",
+       withScheduler(testcfg::producerConsumer(), cfg::SchedulerKind::EDF),
+       {0x234883ec0aaeba00ull, 0x872aa466f12ef442ull,
+        0xfde6cd5cc9f5a3f6ull}},
+  };
+  for (const Case &K : Cases) {
+    ConstructionDigest Got = digestConstruction(K.C);
+    EXPECT_EQ(Got.Reads, K.Want.Reads) << K.Name;
+    EXPECT_EQ(Got.Network, K.Want.Network) << K.Name;
+    EXPECT_EQ(Got.Code, K.Want.Code) << K.Name;
   }
 }
 

@@ -472,7 +472,10 @@ TEST(ObsEngine, PhaseTreeCoversPipeline) {
   const obs::PhaseTree::Node &Root = obs::PhaseTree::current().root();
   const obs::PhaseTree::Node *Build = Root.child("build");
   ASSERT_NE(Build, nullptr);
-  EXPECT_NE(Build->child("compile"), nullptr);
+  // Algorithm 1's steps: template library, instance loop, structural
+  // check, bytecode compile.
+  for (const char *Step : {"library", "instantiate", "check", "compile"})
+    EXPECT_NE(Build->child(Step), nullptr) << Step;
   EXPECT_NE(Root.child("simulate"), nullptr);
   const obs::PhaseTree::Node *Analyze = Root.child("analyze");
   ASSERT_NE(Analyze, nullptr);

@@ -26,6 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <sys/wait.h>
+
 using namespace swa;
 
 namespace {
@@ -289,6 +293,29 @@ TEST(SensitivityTest, ToleranceWidensTheBracket) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The sensitivity CLI (SWA_SENSITIVITY_BIN, a build-time path).
+//===----------------------------------------------------------------------===//
+
+#ifdef SWA_SENSITIVITY_BIN
+TEST(SensitivityCli, RejectsBadArguments) {
+  // A misspelled flag must not parse as the seed, a flag must not lose its
+  // value, and a malformed or out-of-range number must not become a
+  // default: usage on stderr and exit 1 (2 means "undecided"), before any
+  // query runs.
+  for (const char *Arg :
+       {"--wrokers 2", "--param", "--workers abc", "--workers 0",
+        "--workers -2", "--tolerance -3", "--tolerance 0", "--tolerance",
+        "--budget-ms -5", "--report-out", "7x"}) {
+    std::string Cmd =
+        std::string(SWA_SENSITIVITY_BIN) + " " + Arg + " >/dev/null 2>&1";
+    int Status = std::system(Cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Arg;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Arg;
+  }
+}
+#endif // SWA_SENSITIVITY_BIN
 
 int main(int argc, char **argv) {
   ::testing::InitGoogleTest(&argc, argv);

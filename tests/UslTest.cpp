@@ -393,13 +393,77 @@ TEST(Interp, ReadSetCollectorSeesThroughCalls) {
   ASSERT_TRUE(Bound.ok()) << Bound.error().message();
 
   ReadSetCollector RSC(F.Target.FuncTable);
-  std::vector<int32_t> Slots;
-  RSC.collect(**Bound, Slots);
-  std::sort(Slots.begin(), Slots.end());
-  Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
+  ReadSet Reads;
+  RSC.collect(**Bound, Reads);
   // a is slot 0; b occupies slots 1..2; the dynamic index makes both b
   // slots count.
-  EXPECT_EQ(Slots, (std::vector<int32_t>{0, 1, 2}));
+  EXPECT_EQ(Reads.expand(), (std::vector<int32_t>{0, 1, 2}));
+}
+
+TEST(Interp, DynamicIndexIsOneArrayEntry) {
+  EvalFixture F("int a; int b[4];");
+  auto E = parseIntExpr("b[a] + b[2]", F.D);
+  ASSERT_TRUE(E.ok());
+  auto Bound = F.Binder_.bindExpr(**E);
+  ASSERT_TRUE(Bound.ok()) << Bound.error().message();
+
+  ReadSetCollector RSC(F.Target.FuncTable);
+  ReadSet Reads;
+  RSC.collect(**Bound, Reads);
+  Reads.normalize();
+  // b[a] stays one symbolic (base, size) entry; the constant b[2] and the
+  // index a are single slots.
+  EXPECT_EQ(Reads.Slots, (std::vector<int32_t>{0, 3}));
+  EXPECT_EQ(Reads.Arrays, (std::vector<ReadSet::ArrayRead>{{1, 4}}));
+}
+
+TEST(Interp, CallPropagatesArrayEntry) {
+  EvalFixture F("int n; int b[1000];"
+                "int sumB() { int s = 0;"
+                "  for (int i = 0; i < n; i++) s = s + b[i];"
+                "  return s; }"
+                "int twice() { return sumB() + sumB(); }");
+  auto E = parseIntExpr("twice()", F.D);
+  ASSERT_TRUE(E.ok());
+  auto Bound = F.Binder_.bindExpr(**E);
+  ASSERT_TRUE(Bound.ok()) << Bound.error().message();
+
+  ReadSetCollector RSC(F.Target.FuncTable);
+  ReadSet Reads;
+  RSC.collect(**Bound, Reads);
+  Reads.normalize();
+  // The callee's loop over b reaches the caller as the same single entry,
+  // not as its 1000 slots.
+  EXPECT_EQ(Reads.Slots, (std::vector<int32_t>{0}));
+  EXPECT_EQ(Reads.Arrays, (std::vector<ReadSet::ArrayRead>{{1, 1000}}));
+}
+
+TEST(Interp, DroppedArrayNeverExpands) {
+  ReadSet Reads;
+  Reads.Slots = {0, 5, 7, 2000};
+  Reads.Arrays = {{5, 1000}, {5, 1000}, {1005, 3}};
+  // A read hint on the array at [5, 1005) drops its entries and its single
+  // slots; the promised elements come back as single slots.
+  Reads.dropArray(5, 1000);
+  EXPECT_EQ(Reads.Slots, (std::vector<int32_t>{0, 2000}));
+  EXPECT_EQ(Reads.Arrays, (std::vector<ReadSet::ArrayRead>{{1005, 3}}));
+  Reads.Slots.push_back(9);
+  EXPECT_EQ(Reads.expand(),
+            (std::vector<int32_t>{0, 9, 1005, 1006, 1007, 2000}));
+}
+
+TEST(Interp, UnhintedDynamicReadExpandsToWholeArray) {
+  EvalFixture F("int a; int b[3]; int c[2];");
+  auto E = parseIntExpr("b[a] + b[a + 1] + c[1]", F.D);
+  ASSERT_TRUE(E.ok());
+  auto Bound = F.Binder_.bindExpr(**E);
+  ASSERT_TRUE(Bound.ok()) << Bound.error().message();
+
+  ReadSetCollector RSC(F.Target.FuncTable);
+  ReadSet Reads;
+  RSC.collect(**Bound, Reads);
+  // a = 0, b = 1..3, c = 4..5: every b slot once, only c[1] of c.
+  EXPECT_EQ(Reads.expand(), (std::vector<int32_t>{0, 1, 2, 3, 5}));
 }
 
 int main(int argc, char **argv) {
