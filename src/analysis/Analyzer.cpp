@@ -118,12 +118,14 @@ Result<VerdictOutcome> runVerdictOn(const core::BuiltModel &Model,
     core::SystemTrace Trace = core::mapTrace(Model, R.Events);
     AnalysisResult Analysis = analyzeTrace(Config, Trace);
     Out.Schedulable = Analysis.Schedulable;
+    const std::vector<cfg::TaskRef> Refs = Config.taskRefs();
     for (const JobStats &J : Analysis.Jobs) {
       if (J.Completed || J.TaskGid < 0 || J.TaskGid >= NT)
         continue;
       Out.TaskFailed[static_cast<size_t>(J.TaskGid)] = 1;
       int64_t MissAt =
-          J.ReleaseTime + Config.taskOf(Config.taskRefOf(J.TaskGid)).Deadline;
+          J.ReleaseTime +
+          Config.taskOf(Refs[static_cast<size_t>(J.TaskGid)]).Deadline;
       if (Out.FirstMissTime < 0 || MissAt < Out.FirstMissTime) {
         Out.FirstMissTime = MissAt;
         Out.FirstMissTasks.clear();

@@ -31,13 +31,19 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
   AnalysisResult Res;
   int NT = Config.numTasks();
   cfg::TimeValue L = Config.hyperperiod();
+  const std::vector<cfg::TaskRef> Refs = Config.taskRefs();
+  auto TaskOf = [&](int Gid) -> const cfg::Task & {
+    return Config.taskOf(Refs[static_cast<size_t>(Gid)]);
+  };
 
   // Pre-create the full job table: every job of the hyperperiod must be
   // accounted for, including jobs that never produced any event.
   std::vector<TaskScan> Scan(static_cast<size_t>(NT));
+  size_t TotalJobs = 0;
   for (int G = 0; G < NT; ++G) {
-    const cfg::Task &T = Config.taskOf(Config.taskRefOf(G));
+    const cfg::Task &T = TaskOf(G);
     int64_t NumJobs = L / T.Period;
+    TotalJobs += static_cast<size_t>(NumJobs);
     Scan[static_cast<size_t>(G)].Jobs.resize(
         static_cast<size_t>(NumJobs));
     for (int64_t K = 0; K < NumJobs; ++K) {
@@ -51,7 +57,7 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
 
   auto JobOf = [&](int Gid, int64_t Time,
                    bool EndsJob) -> JobStats * {
-    const cfg::Task &T = Config.taskOf(Config.taskRefOf(Gid));
+    const cfg::Task &T = TaskOf(Gid);
     int64_t K = Time / T.Period;
     // A FIN landing exactly on a release boundary belongs to the previous
     // job (deadline == period); a new job cannot finish at its release.
@@ -112,17 +118,20 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
 
   // Evaluate the criterion.
   Res.WorstResponse.assign(static_cast<size_t>(NT), 0);
+  Res.Jobs.reserve(TotalJobs);
   Res.Schedulable = true;
   for (int G = 0; G < NT; ++G) {
-    cfg::TaskRef Ref = Config.taskRefOf(G);
+    cfg::TaskRef Ref = Refs[static_cast<size_t>(G)];
     const cfg::Task &T = Config.taskOf(Ref);
     cfg::TimeValue C = Config.boundWcet(Ref);
+    bool AnyMiss = false;
     for (JobStats &J : Scan[static_cast<size_t>(G)].Jobs) {
       ++Res.TotalJobs;
       int64_t AbsDeadline = J.ReleaseTime + T.Deadline;
       J.Completed = J.ExecTotal == C && J.FinishTime >= 0 &&
                     J.FinishTime <= AbsDeadline;
       if (!J.Completed) {
+        AnyMiss = true;
         ++Res.MissedJobs;
         if (Res.Schedulable) {
           Res.Schedulable = false;
@@ -141,15 +150,7 @@ AnalysisResult swa::analysis::analyzeTrace(const cfg::Config &Config,
       }
       Res.Jobs.push_back(std::move(J));
     }
-    if (Res.MissedJobs > 0)
-      continue;
-  }
-  for (int G = 0; G < NT; ++G) {
     // Worst response is undefined for tasks with missed jobs.
-    bool AnyMiss = false;
-    for (const JobStats &J : Res.Jobs)
-      if (J.TaskGid == G && !J.Completed)
-        AnyMiss = true;
     if (AnyMiss)
       Res.WorstResponse[static_cast<size_t>(G)] = -1;
   }

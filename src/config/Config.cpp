@@ -113,6 +113,15 @@ TaskRef Config::taskRefOf(int GlobalId) const {
   return {};
 }
 
+std::vector<TaskRef> Config::taskRefs() const {
+  std::vector<TaskRef> Out;
+  Out.reserve(static_cast<size_t>(numTasks()));
+  for (size_t P = 0; P < Partitions.size(); ++P)
+    for (size_t T = 0; T < Partitions[P].Tasks.size(); ++T)
+      Out.push_back({static_cast<int>(P), static_cast<int>(T)});
+  return Out;
+}
+
 const Task &Config::taskOf(const TaskRef &Ref) const {
   return Partitions[static_cast<size_t>(Ref.Partition)]
       .Tasks[static_cast<size_t>(Ref.Task)];

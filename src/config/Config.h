@@ -135,6 +135,9 @@ public:
   /// Flat task numbering: partitions in order, tasks within each.
   int globalTaskId(const TaskRef &Ref) const;
   TaskRef taskRefOf(int GlobalId) const;
+  /// taskRefOf for every global id, indexed by it: one pass over the
+  /// partitions instead of one per lookup.
+  std::vector<TaskRef> taskRefs() const;
   const Task &taskOf(const TaskRef &Ref) const;
 
   /// The WCET of a task on the core its partition is bound to.

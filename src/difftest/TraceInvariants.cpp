@@ -77,11 +77,11 @@ std::string TraceInvariantChecker::compareShadow(const nsa::State &Post,
                           "location %d, shadow expected %d",
                           When, I, Post.Locs[I], Shadow.Locs[I]);
   for (size_t I = 0; I < Shadow.Clocks.size(); ++I)
-    if (Shadow.Clocks[I] != Post.Clocks[I])
+    if (Shadow.clock(I) != Post.clock(I))
       return formatString("shadow divergence (%s): clock %zu is %lld, "
                           "shadow expected %lld (stopwatch rule violated)",
-                          When, I, static_cast<long long>(Post.Clocks[I]),
-                          static_cast<long long>(Shadow.Clocks[I]));
+                          When, I, static_cast<long long>(Post.clock(I)),
+                          static_cast<long long>(Shadow.clock(I)));
   for (size_t I = 0; I < Shadow.Store.size(); ++I)
     if (Shadow.Store[I] != Post.Store[I])
       return formatString("shadow divergence (%s): store slot %zu is %lld, "

@@ -470,7 +470,7 @@ SimResult Simulator::run(const SimOptions &Options) {
           Fault->Fired = true;
         } else if (Fault->FaultKind == FaultPlan::Kind::SkewClock &&
                    I < S.Clocks.size()) {
-          S.Clocks[I] += Fault->Delta;
+          S.setClock(I, S.clock(I) + Fault->Delta);
           Fault->Fired = true;
         }
       }

@@ -10,6 +10,12 @@
 /// special never-stopped clock). Time and clocks are integer ticks; see
 /// DESIGN.md for why integer time is exact for this model class.
 ///
+/// Clocks are stored as stopwatches: a running clock keeps its origin (the
+/// model time at which it would have read 0), so letting time pass touches
+/// no clock at all; a stopped clock keeps its value. Read and write clocks
+/// only through clock() / setClock(); Exec re-bases a clock when its rate
+/// changes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SWA_NSA_STATE_H
@@ -24,17 +30,34 @@ namespace nsa {
 struct State {
   int64_t Now = 0;
   std::vector<int32_t> Locs;
+  /// Per clock: the origin when Running, else the value.
   std::vector<int64_t> Clocks;
+  /// Per clock: 1 while the clock runs at rate 1.
+  std::vector<uint8_t> Running;
   std::vector<int64_t> Store;
 
+  /// The value of clock \p C.
+  int64_t clock(size_t C) const {
+    return Running[C] ? Now - Clocks[C] : Clocks[C];
+  }
+  void setClock(size_t C, int64_t V) { Clocks[C] = Running[C] ? Now - V : V; }
+
+  /// Compares clock values, not their encoding. Running follows from Locs
+  /// and Store, so it needs no comparison of its own.
   bool operator==(const State &O) const {
-    return Now == O.Now && Locs == O.Locs && Clocks == O.Clocks &&
-           Store == O.Store;
+    if (Now != O.Now || Locs != O.Locs || Store != O.Store ||
+        Clocks.size() != O.Clocks.size())
+      return false;
+    for (size_t C = 0; C < Clocks.size(); ++C)
+      if (clock(C) != O.clock(C))
+        return false;
+    return true;
   }
 };
 
-/// FNV-1a over the full state; used by the model checker's visited set
-/// (with full-state equality as the fallback on collision).
+/// FNV-1a over the full state with clocks by value; used by the model
+/// checker's visited set (with full-state equality as the fallback on
+/// collision).
 struct StateHash {
   size_t operator()(const State &S) const {
     uint64_t H = 1469598103934665603ULL;
@@ -45,8 +68,8 @@ struct StateHash {
     Mix(static_cast<uint64_t>(S.Now));
     for (int32_t L : S.Locs)
       Mix(static_cast<uint64_t>(static_cast<uint32_t>(L)));
-    for (int64_t C : S.Clocks)
-      Mix(static_cast<uint64_t>(C));
+    for (size_t C = 0; C < S.Clocks.size(); ++C)
+      Mix(static_cast<uint64_t>(S.clock(C)));
     for (int64_t V : S.Store)
       Mix(static_cast<uint64_t>(V));
     return static_cast<size_t>(H);

@@ -187,11 +187,25 @@ Result<Automaton *> NetworkBuilder::addInstance(const Template &T,
       L.Uppers.push_back(std::move(CU));
     }
     for (const usl::InvariantAst::RateCond &R : LD.Invariant.Rates) {
+      // Each clock has one running bit, owned by the one automaton whose
+      // location decides it (see nsa/State.h).
+      if (R.Clock->Kind != usl::SymbolKind::TemplateClock)
+        return Error::failure(
+            ErrorCode::UnsupportedRate,
+            Context("location " + LD.Name + ": rate condition on global "
+                    "clock '" + R.Clock->Name +
+                    "'; only the template's own clocks can stop"));
       RateCond RC;
       Result<int> CI = Binder.clockIndex(R.Clock);
       if (!CI.ok())
         return CI.takeError().withContext(Context("location " + LD.Name));
       RC.Clock = *CI;
+      for (const RateCond &Prev : L.Rates)
+        if (Prev.Clock == RC.Clock)
+          return Error::failure(
+              ErrorCode::UnsupportedRate,
+              Context("location " + LD.Name + ": clock '" + R.Clock->Name +
+                      "' has two rate conditions"));
       Result<usl::ExprPtr> B = Binder.bindExpr(*R.Rate);
       if (!B.ok())
         return B.takeError().withContext(Context("location " + LD.Name));

@@ -29,8 +29,10 @@ namespace swa {
 /// callers to branch on *why* a snapshot was rejected — corrupt files
 /// degrade to a cold start, I/O failures are retried, version skew is
 /// reported to the operator — without string matching, so those paths
-/// attach a code. The taxonomy is deliberately small: add a code only
-/// when some caller dispatches on it.
+/// attach a code. Model binding tags the rate conditions the stopwatch
+/// encoding cannot represent, so tests can tell them from syntax errors.
+/// The taxonomy is deliberately small: add a code only when some caller
+/// dispatches on it.
 enum class ErrorCode {
   Generic,                ///< Uncategorized; message-only errors.
   Io,                     ///< open/write/fsync/rename/read failed.
@@ -39,6 +41,7 @@ enum class ErrorCode {
   SnapshotVersionSkew,    ///< Format version this reader does not speak.
   SnapshotEndianMismatch, ///< Written by a foreign-endian encoder.
   SnapshotMismatch,       ///< Valid snapshot, wrong problem (seed/base).
+  UnsupportedRate,        ///< Rate condition one stopwatch cannot hold.
 };
 
 /// Stable lower-case name for an ErrorCode (log/CLI output).
@@ -121,6 +124,8 @@ inline const char *errorCodeName(ErrorCode Code) {
     return "snapshot-endian-mismatch";
   case ErrorCode::SnapshotMismatch:
     return "snapshot-mismatch";
+  case ErrorCode::UnsupportedRate:
+    return "unsupported-rate";
   }
   return "unknown";
 }

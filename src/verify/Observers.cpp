@@ -355,7 +355,7 @@ runSchedulerHarness(const sa::Template *TsOverride,
     };
   } else { // Window confinement: positive out-of-window execution time.
     Bad = [ViolClock](const nsa::Exec &, const nsa::State &S) {
-      return S.Clocks[static_cast<size_t>(ViolClock)] > 0;
+      return S.clock(static_cast<size_t>(ViolClock)) > 0;
     };
   }
   return runHarness(Net.takeValue(), Ticks, Bad);
@@ -531,7 +531,7 @@ swa::verify::verifyTaskNoLateExecution(int64_t Wcet, int64_t Deadline,
     return H.takeError();
   int Late = H->LateClock;
   auto Bad = [Late](const nsa::Exec &, const nsa::State &S) {
-    return S.Clocks[static_cast<size_t>(Late)] > 0;
+    return S.clock(static_cast<size_t>(Late)) > 0;
   };
   return runHarness(std::move(H->Net), Ticks, Bad);
 }

@@ -104,6 +104,84 @@ TEST(Criterion, LateCompletionIsAMiss) {
   EXPECT_FALSE(R.Jobs.front().Completed);
 }
 
+namespace {
+
+constexpr uint64_t FnvOffset = 1469598103934665603ull;
+
+template <class T> uint64_t fnvValue(uint64_t H, T V) {
+  const auto *Bytes = reinterpret_cast<const unsigned char *>(&V);
+  for (size_t I = 0; I < sizeof V; ++I) {
+    H ^= Bytes[I];
+    H *= 1099511628211ull;
+  }
+  return H;
+}
+
+/// FNV-1a over every field of an AnalysisResult: the verdict, the job
+/// counts, the worst responses, the first violation and every job's
+/// statistics.
+uint64_t digestAnalysis(const AnalysisResult &R) {
+  uint64_t H = fnvValue(FnvOffset, R.Schedulable);
+  H = fnvValue(H, R.TotalJobs);
+  H = fnvValue(H, R.MissedJobs);
+  H = fnvValue<uint64_t>(H, R.WorstResponse.size());
+  for (int64_t W : R.WorstResponse)
+    H = fnvValue(H, W);
+  for (char Ch : R.FirstViolation)
+    H = fnvValue(H, Ch);
+  H = fnvValue<uint64_t>(H, R.Jobs.size());
+  for (const JobStats &J : R.Jobs) {
+    H = fnvValue(H, J.TaskGid);
+    H = fnvValue(H, J.JobIndex);
+    H = fnvValue(H, J.ReleaseTime);
+    H = fnvValue(H, J.ReadyTime);
+    H = fnvValue(H, J.FinishTime);
+    H = fnvValue<uint64_t>(H, J.Intervals.size());
+    for (const ExecInterval &I : J.Intervals) {
+      H = fnvValue(H, I.Start);
+      H = fnvValue(H, I.End);
+    }
+    H = fnvValue(H, J.ExecTotal);
+    H = fnvValue(H, J.Preemptions);
+    H = fnvValue(H, J.Completed);
+  }
+  return H;
+}
+
+} // namespace
+
+// The criterion's output, simulation included, is pinned to digests
+// recorded with the original per-task rescan and per-event partition
+// walk: the one-pass criterion and the stopwatch clock encoding must not
+// change a single job.
+TEST(Criterion, MatchesPinnedDigests) {
+  struct Case {
+    const char *Name;
+    cfg::Config C;
+    bool Schedulable;
+    uint64_t Want;
+  };
+  const Case Cases[] = {
+      {"industrial-2500", gen::industrialConfigWithJobs(2500, 1), false,
+       0x524f657775ad104eull},
+      {"producer-consumer", testcfg::producerConsumer(), true,
+       0xc76979e9ad525f2eull},
+      {"preemption-showcase", testcfg::preemptionShowcase(), true,
+       0xbf21183223cd9e04ull},
+      {"overloaded", testcfg::overloadedOneCore(), false,
+       0x65f19885ffedad2dull},
+  };
+  for (const Case &K : Cases) {
+    auto Out = analyzeConfiguration(K.C);
+    ASSERT_TRUE(Out.ok()) << K.Name << ": " << Out.error().message();
+    EXPECT_EQ(Out->Analysis.Schedulable, K.Schedulable) << K.Name;
+    EXPECT_EQ(digestAnalysis(Out->Analysis), K.Want)
+        << K.Name << ": jobs " << Out->Analysis.TotalJobs << ", missed "
+        << Out->Analysis.MissedJobs << ", digest 0x" << std::hex
+        << digestAnalysis(Out->Analysis);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // RTA cross-validation
 //===----------------------------------------------------------------------===//

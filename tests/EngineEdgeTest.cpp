@@ -162,7 +162,7 @@ TEST(SimulatorEdge, StopwatchNeverRunsBackwards) {
   // w ran during [0,2) and [5,10): 7 ticks. In End no rate condition
   // applies, so both clocks advance freely until the horizon.
   EXPECT_EQ(R.Final.Locs[0], 3);
-  EXPECT_EQ(R.Final.Clocks[0] - (R.Final.Now - 10), 7);
+  EXPECT_EQ(R.Final.clock(0) - (R.Final.Now - 10), 7);
 }
 
 TEST(SimulatorEdge, MultipleIndependentClocksPerAutomaton) {

@@ -445,6 +445,126 @@ TEST(Simulator, RecordTraceOffSkipsEventsOnly) {
   EXPECT_EQ(Bare.Final.Store, Full.Final.Store);
 }
 
+//===----------------------------------------------------------------------===//
+// Stopwatch encoding
+//===----------------------------------------------------------------------===//
+
+TEST(StopwatchEncoding, EqualValuesCompareAndHashEqual) {
+  // Clock 0 reads 6 in both states: A stores the origin of a running
+  // clock, B the value of a stopped one.
+  State A;
+  A.Now = 10;
+  A.Locs = {0};
+  A.Clocks = {4, 2};
+  A.Running = {1, 0};
+  A.Store = {7};
+  State B = A;
+  B.Clocks = {6, 2};
+  B.Running = {0, 0};
+  EXPECT_EQ(A.clock(0), 6);
+  EXPECT_EQ(B.clock(0), 6);
+  EXPECT_TRUE(A == B);
+  EXPECT_EQ(StateHash()(A), StateHash()(B));
+
+  B.Clocks[0] = 5; // Now the values differ.
+  EXPECT_FALSE(A == B);
+  EXPECT_NE(StateHash()(A), StateHash()(B));
+}
+
+TEST(StopwatchEncoding, StopRestartResetReadsRightValues) {
+  // One automaton moves by hand between a location where its clock runs,
+  // one where it stands, and one where a variable decides.
+  NetworkBuilder NB;
+  ASSERT_FALSE(NB.addGlobals("int on = 0;").isFailure());
+  TemplateBuilder TB("W", NB.globalDecls());
+  TB.decls("clock e;")
+      .location("Run")
+      .location("Stop", "e' == 0")
+      .location("Dyn", "e' == on")
+      .initial("Run")
+      .edge("Run", "Stop", {})                     // Edge 0.
+      .edge("Stop", "Run", {})                     // Edge 1.
+      .edge("Run", "Run", {.Update = "e = 0"})     // Edge 2.
+      .edge("Run", "Dyn", {})                      // Edge 3.
+      .edge("Stop", "Stop", {.Update = "e = 0"}); // Edge 4.
+  auto T = TB.build();
+  ASSERT_TRUE(T.ok()) << T.error().message();
+  ASSERT_TRUE(NB.addInstance(**T, "w", {}).ok());
+  auto Net = NB.finish();
+  ASSERT_TRUE(Net.ok()) << Net.error().message();
+  const size_t On = static_cast<size_t>((*Net)->slotOf("on"));
+
+  Exec Ex(**Net);
+  State S;
+  Ex.initState(S);
+  auto Take = [&](int Edge) {
+    Step St;
+    St.InitiatorAut = 0;
+    St.Initiator.Edge = Edge;
+    ASSERT_TRUE(Ex.applyStep(S, St));
+  };
+
+  Ex.advanceTime(S, 3);
+  EXPECT_EQ(S.clock(0), 3); // Ran [0,3).
+  Take(0);
+  Ex.advanceTime(S, 4);
+  EXPECT_EQ(S.clock(0), 3); // Stood still [3,7).
+  Take(1);
+  Ex.advanceTime(S, 2);
+  EXPECT_EQ(S.clock(0), 5); // Ran again [7,9).
+  Take(2);
+  EXPECT_EQ(S.clock(0), 0); // Reset while running.
+  Ex.advanceTime(S, 1);
+  EXPECT_EQ(S.clock(0), 1);
+  Take(0);
+  Take(4);
+  Ex.advanceTime(S, 5);
+  EXPECT_EQ(S.clock(0), 0); // Reset while stopped: stays 0.
+  Take(1);
+  Take(3);
+  Ex.advanceTime(S, 2);
+  EXPECT_EQ(S.clock(0), 0); // Dyn with on == 0: stopped.
+  S.Store[On] = 1;          // No location move: the next delay re-syncs.
+  Ex.advanceTime(S, 3);
+  EXPECT_EQ(S.clock(0), 3);
+  S.Store[On] = 0;
+  Ex.advanceTime(S, 4);
+  EXPECT_EQ(S.clock(0), 3);
+  EXPECT_EQ(S.Now, 24);
+}
+
+TEST(StopwatchEncoding, GlobalClockRateIsABindError) {
+  NetworkBuilder NB;
+  ASSERT_FALSE(NB.addGlobals("clock g;").isFailure());
+  TemplateBuilder TB("Holder", NB.globalDecls());
+  TB.location("Hold", "g' == 0").initial("Hold");
+  auto T = TB.build();
+  ASSERT_TRUE(T.ok()) << T.error().message();
+  auto A = NB.addInstance(**T, "h", {});
+  ASSERT_FALSE(A.ok());
+  EXPECT_EQ(A.error().code(), ErrorCode::UnsupportedRate);
+  const std::string &M = A.error().message();
+  EXPECT_NE(M.find("'Holder'"), std::string::npos) << M;
+  EXPECT_NE(M.find("location Hold"), std::string::npos) << M;
+  EXPECT_NE(M.find("'g'"), std::string::npos) << M;
+}
+
+TEST(StopwatchEncoding, TwoRatesOnOneClockAreABindError) {
+  NetworkBuilder NB;
+  ASSERT_FALSE(NB.addGlobals("int on = 1;").isFailure());
+  TemplateBuilder TB("Twice", NB.globalDecls());
+  TB.decls("clock e;").location("L", "e' == 0 && e' == on").initial("L");
+  auto T = TB.build();
+  ASSERT_TRUE(T.ok()) << T.error().message();
+  auto A = NB.addInstance(**T, "t", {});
+  ASSERT_FALSE(A.ok());
+  EXPECT_EQ(A.error().code(), ErrorCode::UnsupportedRate);
+  const std::string &M = A.error().message();
+  EXPECT_NE(M.find("'Twice'"), std::string::npos) << M;
+  EXPECT_NE(M.find("location L"), std::string::npos) << M;
+  EXPECT_NE(M.find("'e'"), std::string::npos) << M;
+}
+
 int main(int argc, char **argv) {
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
