@@ -28,12 +28,10 @@ namespace {
 
 /// core::buildModel, its time added to \p TotalNs (the model's
 /// destruction excluded).
-Result<core::BuiltModel> timedBuild(double &TotalNs, const cfg::Config &Config,
-                                    bool PublishMetrics = true,
-                                    core::BytecodeCache *Cache = nullptr) {
+Result<core::BuiltModel> timedBuild(double &TotalNs,
+                                    const cfg::Config &Config) {
   auto T0 = std::chrono::steady_clock::now();
-  Result<core::BuiltModel> Model =
-      core::buildModel(Config, PublishMetrics, Cache);
+  Result<core::BuiltModel> Model = core::buildModel(Config);
   TotalNs += std::chrono::duration<double, std::nano>(
                  std::chrono::steady_clock::now() - T0)
                  .count();
@@ -77,46 +75,6 @@ BENCHMARK(BM_BuildModel)
     ->Arg(4000)
     ->Arg(8000)
     ->Arg(12500)
-    ->Unit(benchmark::kMillisecond);
-
-// Construction with a warm shape-keyed bytecode cache: the USL
-// compilation of every guard/invariant/update site is reused from a
-// previous same-shape build (window tables are data, not code), so the
-// steady-state rebuild pays structure + binding only. Compare against
-// BM_BuildModel at the same argument — the gap is what an arena miss
-// costs a search *after* the first candidate of each shape.
-static void BM_BuildModelSharedBytecode(benchmark::State &State) {
-  int64_t TargetJobs = State.range(0);
-  cfg::Config Config = gen::industrialConfigWithJobs(TargetJobs, /*Seed=*/1);
-  core::BytecodeCache Cache;
-  // The first build compiles and seeds the cache; every timed build hits.
-  Result<core::BuiltModel> Warm =
-      core::buildModel(Config, /*PublishMetrics=*/false, &Cache);
-  if (!Warm.ok()) {
-    State.SkipWithError(Warm.error().message().c_str());
-    return;
-  }
-  size_t Automata = 0;
-  double TotalNs = 0;
-  for (auto _ : State) {
-    Result<core::BuiltModel> Model =
-        timedBuild(TotalNs, Config, /*PublishMetrics=*/false, &Cache);
-    if (!Model.ok()) {
-      State.SkipWithError(Model.error().message().c_str());
-      return;
-    }
-    Automata = Model->Net->Automata.size();
-    benchmark::DoNotOptimize(Model->Net);
-  }
-  State.counters["jobs"] = static_cast<double>(Config.jobCount());
-  State.counters["automata"] = static_cast<double>(Automata);
-  State.counters["bytecode_shapes"] = static_cast<double>(Cache.size());
-  setNsPerJob(State, Config, TotalNs);
-}
-BENCHMARK(BM_BuildModelSharedBytecode)
-    ->Arg(500)
-    ->Arg(2000)
-    ->Arg(8000)
     ->Unit(benchmark::kMillisecond);
 
 // The front-end alone: parsing + type checking the component library

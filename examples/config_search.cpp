@@ -45,11 +45,11 @@
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -61,19 +61,6 @@ static const char kUsage[] =
     "                     [--checkpoint FILE] [--checkpoint-every-ms MS]\n"
     "                     [--resume] [--trace-out FILE] [--report-out FILE]\n"
     "                     [--strategy NAME]\n";
-
-// A non-negative decimal integer, nothing else: the positional seed and
-// every numeric flag value.
-static bool parseDecimal(const char *Arg, uint64_t &Out) {
-  if (*Arg < '0' || *Arg > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Arg, &End, 10);
-  if (*End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
 
 int main(int argc, char **argv) {
   uint64_t Seed = 7;

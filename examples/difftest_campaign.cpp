@@ -32,8 +32,11 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Span.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +45,10 @@
 
 using namespace swa;
 
+static const char kUsage[] =
+    "usage: difftest_campaign [--seed N] [--configs N] [--budget-ms N] "
+    "[--no-mc] [--out DIR] [--trace-out FILE] [--report-out FILE]\n";
+
 int main(int argc, char **argv) {
   difftest::CampaignOptions Options;
   std::string OutDir = ".";
@@ -49,19 +56,31 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     auto NextArg = [&](const char *Flag) -> const char * {
       if (I + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", Flag);
+        std::fprintf(stderr, "%s needs a value\n%s", Flag, kUsage);
         std::exit(1);
       }
       return argv[++I];
     };
+    // A numeric flag value outside [Min, Max] — signed, malformed or
+    // out of range — is a usage error, never a silent default.
+    auto NextNum = [&](const char *Flag, uint64_t Min,
+                       uint64_t Max) -> uint64_t {
+      const char *Arg = NextArg(Flag);
+      uint64_t V = 0;
+      if (!parseDecimal(Arg, V) || V < Min || V > Max) {
+        std::fprintf(stderr, "error: invalid value '%s' for %s\n%s", Arg,
+                     Flag, kUsage);
+        std::exit(1);
+      }
+      return V;
+    };
     if (std::strcmp(argv[I], "--seed") == 0)
-      Options.Seed = std::strtoull(NextArg("--seed"), nullptr, 10);
+      Options.Seed = NextNum("--seed", 0, UINT64_MAX);
     else if (std::strcmp(argv[I], "--configs") == 0)
-      Options.NumConfigs =
-          static_cast<int>(std::strtol(NextArg("--configs"), nullptr, 10));
+      Options.NumConfigs = static_cast<int>(NextNum("--configs", 1, INT_MAX));
     else if (std::strcmp(argv[I], "--budget-ms") == 0)
       Options.Oracle.SimBudgetMs =
-          std::strtoll(NextArg("--budget-ms"), nullptr, 10);
+          static_cast<int64_t>(NextNum("--budget-ms", 0, INT64_MAX));
     else if (std::strcmp(argv[I], "--no-mc") == 0)
       Options.Oracle.EnableMc = false;
     else if (std::strcmp(argv[I], "--out") == 0)
@@ -71,10 +90,8 @@ int main(int argc, char **argv) {
     else if (std::strcmp(argv[I], "--report-out") == 0)
       ReportPath = NextArg("--report-out");
     else {
-      std::fprintf(stderr,
-                   "usage: difftest_campaign [--seed N] [--configs N] "
-                   "[--budget-ms N] [--no-mc] [--out DIR] "
-                   "[--trace-out FILE] [--report-out FILE]\n");
+      std::fprintf(stderr, "error: unrecognized argument '%s'\n%s", argv[I],
+                   kUsage);
       return 1;
     }
   }

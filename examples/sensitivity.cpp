@@ -30,11 +30,11 @@
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
 #include "obs/Span.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -44,19 +44,6 @@ static const char kUsage[] =
     "usage: sensitivity [seed] [--param wcet|period|offset|frontier|all]\n"
     "                   [--tolerance TICKS] [--workers N] [--budget-ms MS]\n"
     "                   [--report-out FILE] [--trace-out FILE]\n";
-
-// A non-negative decimal integer, nothing else: the positional seed and
-// every numeric flag value.
-static bool parseDecimal(const char *Arg, uint64_t &Out) {
-  if (*Arg < '0' || *Arg > '9')
-    return false;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Arg, &End, 10);
-  if (*End != '\0')
-    return false;
-  Out = V;
-  return true;
-}
 
 int main(int argc, char **argv) {
   uint64_t Seed = 7;

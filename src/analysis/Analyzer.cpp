@@ -60,33 +60,26 @@ swa::analysis::analyzeConfiguration(const cfg::Config &Config,
 namespace {
 
 /// The shared back half of both analyzeVerdictOnly overloads: run \p Sim
-/// over \p Model and extract the verdict. The caller owns model and
-/// simulator so the arena overload can substitute cached ones.
+/// over \p Model and read the verdict off the failure flags. The caller
+/// owns model and simulator so the arena overload can substitute cached
+/// ones.
 Result<VerdictOutcome> runVerdictOn(const core::BuiltModel &Model,
                                     nsa::Simulator &Sim,
-                                    const cfg::Config &Config,
                                     const nsa::SimOptions &SimOptions) {
+  if (Model.IsFailedSlot < 0)
+    return Error::failure("model has no failure flags");
   int NT = static_cast<int>(Model.TaskAutomaton.size());
   VerdictOutcome Out;
   Out.TaskFailed.assign(static_cast<size_t>(NT), 0);
 
-  // With failure flags the trace is never needed; without them the trace
-  // feeds the criterion fallback. Either way the run is executed here so
-  // a guard-rail stop (budget/cancel) surfaces structurally instead of as
-  // an opaque error string.
-  const bool HasFlags = Model.IsFailedSlot >= 0;
+  // Watch the contiguous is_failed block so every run — early-exit or
+  // full — reports the first-miss instant and its task set. The run is
+  // executed here so a guard-rail stop (budget/cancel) surfaces
+  // structurally instead of as an opaque error string.
   nsa::SimOptions Opt = SimOptions;
-  Opt.RecordTrace = !HasFlags;
-  if (HasFlags) {
-    // Watch the contiguous is_failed block so every run — early-exit or
-    // full — reports the first-miss instant and its task set.
-    Opt.FailSlotBase = Model.IsFailedSlot;
-    Opt.FailSlotCount = NT;
-  } else {
-    // Early exit needs the flags; without them fall through to the full
-    // trace criterion.
-    Opt.StopOnFirstMiss = false;
-  }
+  Opt.RecordTrace = false;
+  Opt.FailSlotBase = Model.IsFailedSlot;
+  Opt.FailSlotCount = NT;
   nsa::SimResult R = Sim.run(Opt);
   Out.ActionCount = R.ActionCount;
   if (!R.ok()) {
@@ -98,48 +91,16 @@ Result<VerdictOutcome> runVerdictOn(const core::BuiltModel &Model,
     return Error::failure("simulation failed: " + R.Error);
   }
 
-  if (HasFlags) {
-    Out.Stop = R.Stop;
-    for (int G = 0; G < NT; ++G) {
-      if (R.Final.Store[static_cast<size_t>(Model.IsFailedSlot + G)] !=
-          0) {
-        Out.TaskFailed[static_cast<size_t>(G)] = 1;
-        ++Out.FailedTasks;
-      }
+  Out.Stop = R.Stop;
+  for (int G = 0; G < NT; ++G) {
+    if (R.Final.Store[static_cast<size_t>(Model.IsFailedSlot + G)] != 0) {
+      Out.TaskFailed[static_cast<size_t>(G)] = 1;
+      ++Out.FailedTasks;
     }
-    Out.Schedulable = Out.FailedTasks == 0;
-    Out.FirstMissTime = R.FirstMissTime;
-    Out.FirstMissTasks = R.FirstMissSlots;
-  } else {
-    // No failure flags in this model: run the criterion on the mapped
-    // trace and derive the per-task flags from the job statistics. The
-    // first-miss instant is the earliest absolute deadline among missed
-    // jobs — exactly when the watch would have seen the flag trip.
-    core::SystemTrace Trace = core::mapTrace(Model, R.Events);
-    AnalysisResult Analysis = analyzeTrace(Config, Trace);
-    Out.Schedulable = Analysis.Schedulable;
-    const std::vector<cfg::TaskRef> Refs = Config.taskRefs();
-    for (const JobStats &J : Analysis.Jobs) {
-      if (J.Completed || J.TaskGid < 0 || J.TaskGid >= NT)
-        continue;
-      Out.TaskFailed[static_cast<size_t>(J.TaskGid)] = 1;
-      int64_t MissAt =
-          J.ReleaseTime +
-          Config.taskOf(Refs[static_cast<size_t>(J.TaskGid)]).Deadline;
-      if (Out.FirstMissTime < 0 || MissAt < Out.FirstMissTime) {
-        Out.FirstMissTime = MissAt;
-        Out.FirstMissTasks.clear();
-      }
-      if (MissAt == Out.FirstMissTime)
-        Out.FirstMissTasks.push_back(J.TaskGid);
-    }
-    std::sort(Out.FirstMissTasks.begin(), Out.FirstMissTasks.end());
-    Out.FirstMissTasks.erase(
-        std::unique(Out.FirstMissTasks.begin(), Out.FirstMissTasks.end()),
-        Out.FirstMissTasks.end());
-    for (char F : Out.TaskFailed)
-      Out.FailedTasks += F ? 1 : 0;
   }
+  Out.Schedulable = Out.FailedTasks == 0;
+  Out.FirstMissTime = R.FirstMissTime;
+  Out.FirstMissTasks = R.FirstMissSlots;
   if (obs::enabled())
     obs::Registry::global().counter("analysis.configurations").add(1);
   return Out;
@@ -157,42 +118,27 @@ Result<VerdictOutcome>
 swa::analysis::analyzeVerdictOnly(const cfg::Config &Config,
                                   const nsa::SimOptions &SimOptions,
                                   ModelArena *Arena) {
-  if (Arena) {
-    cfg::Fingerprint Shape = cfg::fingerprintShape(Config);
-    if (ModelArena::Slot *S = Arena->find(Shape)) {
-      // On any rebind failure (invalid config, shape-fingerprint
-      // collision) fall through to a fresh build, which reproduces the
-      // plain overload's behavior — including its error — exactly.
-      if (!core::rebindWindows(S->Model, S->Rebinder, Config))
-        return runVerdictOn(S->Model, *S->Sim, Config, SimOptions);
-    }
+  if (!Arena) {
+    Result<core::BuiltModel> Model = core::buildModel(Config);
+    if (!Model.ok())
+      return Model.takeError();
+    nsa::Simulator Sim(*Model->Net);
+    return runVerdictOn(*Model, Sim, SimOptions);
   }
 
-  Result<core::BuiltModel> Model =
-      core::buildModel(Config, /*PublishMetrics=*/Arena == nullptr,
-                       Arena ? Arena->sharedBytecode() : nullptr);
-  if (!Model.ok())
-    return Model.takeError();
-
-  // Seed the arena only with models the rebinder can retarget and the
-  // flags fast path can evaluate; anything else is used once, as the
-  // plain overload would.
-  if (Arena && Model->IsFailedSlot >= 0) {
-    if (ModelArena::Slot *S =
-            Arena->emplace(cfg::fingerprintShape(Config), std::move(*Model)))
-      return runVerdictOn(S->Model, *S->Sim, Config, SimOptions);
-    // emplace declined (foreign model): *Model was consumed, rebuild.
-    Result<core::BuiltModel> Fresh =
-        core::buildModel(Config, /*PublishMetrics=*/false,
-                         Arena->sharedBytecode());
-    if (!Fresh.ok())
-      return Fresh.takeError();
-    nsa::Simulator Sim(*Fresh->Net);
-    return runVerdictOn(*Fresh, Sim, Config, SimOptions);
+  cfg::Fingerprint Shape = cfg::fingerprintShape(Config);
+  // On any rebind failure (invalid config, shape-fingerprint collision)
+  // fall through to a fresh build, which reproduces the plain overload's
+  // behavior — including its error — exactly, and replaces the slot.
+  ModelArena::Slot *S = Arena->find(Shape);
+  if (!S || core::rebindWindows(S->Model, S->Rebinder, Config)) {
+    Result<core::BuiltModel> Model =
+        core::buildModel(Config, /*PublishMetrics=*/false);
+    if (!Model.ok())
+      return Model.takeError();
+    S = Arena->emplace(Shape, std::move(*Model));
   }
-
-  nsa::Simulator Sim(*Model->Net);
-  return runVerdictOn(*Model, Sim, Config, SimOptions);
+  return runVerdictOn(S->Model, *S->Sim, SimOptions);
 }
 
 VerdictOutcome swa::analysis::mergeComponentVerdicts(

@@ -79,11 +79,10 @@ struct VerdictOutcome {
 /// final state. Over a full hyperperiod the deadline-miss edges make the
 /// flags agree with the trace criterion (the invariant
 /// AnalyzeOutcome::failureFlagsConsistent checks), so this is the same
-/// verdict as analyzeConfiguration at a fraction of the cost. Falls back
-/// to the full pipeline for models without failure flags.
+/// verdict as analyzeConfiguration at a fraction of the cost.
 ///
 /// \p SimOptions carries the guard rails (wall-clock budget, cancel
-/// token); RecordTrace is forced internally. A run the guard rails ended
+/// token); RecordTrace is forced off internally. A run the guard rails ended
 /// returns *success* with VerdictOutcome::decided() == false — callers
 /// distinguish "no verdict" from a model error without string matching.
 Result<VerdictOutcome>
@@ -97,8 +96,9 @@ class ModelArena;
 /// window tables are patched into the cached model (core::rebindWindows)
 /// and its simulator is reused — no Algorithm-1 rebuild. Misses build
 /// fresh (with build metrics suppressed; see ModelArena.h on why) and
-/// seed the arena. The verdict is identical to the plain overload for
-/// every config; a null \p Arena is exactly the plain overload.
+/// take the shape's slot in the arena. The verdict is identical to the
+/// plain overload for every config; a null \p Arena is exactly the plain
+/// overload.
 Result<VerdictOutcome> analyzeVerdictOnly(const cfg::Config &Config,
                                           const nsa::SimOptions &SimOptions,
                                           ModelArena *Arena);

@@ -29,8 +29,9 @@
 /// PublishMetrics=false to core::buildModel, and the arena exposes no
 /// published statistics. The *verdict* is unaffected either way.
 ///
-/// Not thread-safe: one arena per worker (the search keeps a pool and
-/// leases one arena per work item).
+/// Not thread-safe: each pool thread owns one arena. The search and
+/// analyzeSensitivity allocate one per ThreadPool slot and index it with
+/// the slot parallelFor passes to each item, so no arena is ever shared.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,33 +63,28 @@ public:
   /// shape plus one per rebind target), so a small arena captures them.
   explicit ModelArena(size_t Capacity = 16) : Capacity(Capacity) {}
 
-  ModelArena(const ModelArena &) = delete;
-  ModelArena &operator=(const ModelArena &) = delete;
+  /// Movable so callers can keep one per pool thread in a vector; the
+  /// slots' list nodes, models and simulators stay where they are.
+  ModelArena(ModelArena &&) = default;
+  ModelArena &operator=(ModelArena &&) = default;
 
   /// Returns the slot for \p Shape (refreshing its LRU stamp), or null.
   Slot *find(const cfg::Fingerprint &Shape);
 
   /// Takes ownership of \p Model under key \p Shape, builds its rebind
-  /// plan and simulator, and returns the slot (evicting the LRU slot at
-  /// capacity). Returns null when the model cannot be rebound (no window
-  /// slots recorded) — the caller then just uses its own model once.
+  /// plan and simulator, and returns the slot (never null). An existing
+  /// slot of the same shape is replaced in place; otherwise the LRU slot
+  /// is evicted at capacity. A model whose rebind plan is invalid is
+  /// stored all the same: every later rebind of it fails, and the caller
+  /// rebuilds.
   Slot *emplace(const cfg::Fingerprint &Shape, core::BuiltModel Model);
 
   size_t size() const { return Slots.size(); }
-
-  /// Attaches a (possibly shared) compiled-bytecode cache that arena
-  /// *misses* consult: a rebuild of a shape any arena in the pool has
-  /// compiled before injects the cached bytecode instead of recompiling
-  /// (see core::BytecodeCache). The cache is thread-safe and its entries
-  /// immutable, so many per-worker arenas may share one. Not owned.
-  void setSharedBytecode(core::BytecodeCache *BC) { Bytecode = BC; }
-  core::BytecodeCache *sharedBytecode() const { return Bytecode; }
 
 private:
   std::list<Slot> Slots;
   size_t Capacity;
   uint64_t Tick = 0;
-  core::BytecodeCache *Bytecode = nullptr;
 };
 
 } // namespace analysis

@@ -87,26 +87,28 @@ namespace {
 enum class Probe { Pass, Fail, Undecided };
 
 /// One query's oracle frontend: validates, consults the shared verdict
-/// cache, and simulates on a miss through a per-query model arena, so
-/// same-shape probes — offset shifts — rebind instead of rebuilding.
+/// cache, and simulates on a miss through the running thread's model
+/// arena, so same-shape probes — offset shifts, across queries too —
+/// rebind instead of rebuilding.
 /// Guard-rail stops, cancellation and the probe cap latch Aborted; a
 /// model error latches Error. Both make every later probe Undecided, so
 /// a query winds down instead of looping.
 struct ProbeEngine {
   const SensitivityOptions &Opts;
   schedtool::VerdictCache &Cache;
+  ModelArena &Arena;
   obs::Counter *ProbesC = nullptr;
   obs::Counter *HitC = nullptr;
   obs::Counter *MissC = nullptr;
   obs::Counter *InvalidC = nullptr;
 
-  ModelArena Arena{8};
   int Probes = 0;
   bool Aborted = false;
   std::string ErrMsg;
 
-  ProbeEngine(const SensitivityOptions &Opts, schedtool::VerdictCache &Cache)
-      : Opts(Opts), Cache(Cache) {
+  ProbeEngine(const SensitivityOptions &Opts, schedtool::VerdictCache &Cache,
+              ModelArena &Arena)
+      : Opts(Opts), Cache(Cache), Arena(Arena) {
     if (obs::enabled()) {
       obs::Registry &Reg = obs::Registry::global();
       ProbesC = &Reg.counter("sensitivity.probes");
@@ -421,11 +423,18 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
   schedtool::VerdictCache LocalCache;
   schedtool::VerdictCache &Cache = Options.Cache ? *Options.Cache : LocalCache;
 
+  // One model arena per pool slot. The base probe runs on the caller,
+  // slot 0, so the queries slot 0 runs later rebind the base model.
+  const int Threads = std::max(1, Options.Workers);
+  std::vector<ModelArena> Arenas;
+  for (int I = 0; I < Threads; ++I)
+    Arenas.emplace_back(8);
+
   // Base verdict first, through the same probe machinery (so it seeds the
   // cache and honors the guard rails).
   {
     obs::ScopedTimer BaseTimer("sensitivity.base");
-    ProbeEngine E(Options, Cache);
+    ProbeEngine E(Options, Cache, Arenas[0]);
     Probe P = E.probe(Config);
     Res.TotalProbes += E.Probes;
     if (!E.ErrMsg.empty())
@@ -487,10 +496,10 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
   if (Options.QueryFrontier)
     Queries.push_back({KFrontier, -1});
 
-  ThreadPool Pool(std::max(1, Options.Workers));
+  ThreadPool Pool(Threads);
   std::vector<int> ProbeCounts(Queries.size(), 0);
   std::vector<std::string> Errors(Queries.size());
-  Pool.parallelFor(static_cast<int>(Queries.size()), [&](int I) {
+  Pool.parallelFor(static_cast<int>(Queries.size()), [&](int I, int Slot) {
     const Query &Q = Queries[static_cast<size_t>(I)];
     const char *Phase = Q.Kind == KWcet      ? "sensitivity.wcet"
                         : Q.Kind == KPeriod  ? "sensitivity.period"
@@ -504,7 +513,7 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
     // single-writer and live in the *calling thread's* shard.
     if (obs::enabled())
       obs::Registry::global().counter("sensitivity.queries").add(1);
-    ProbeEngine E(Options, Cache);
+    ProbeEngine E(Options, Cache, Arenas[static_cast<size_t>(Slot)]);
     switch (Q.Kind) {
     case KWcet: {
       WcetSlackResult R = wcetSlackQuery(Config, Q.Gid, E);

@@ -179,8 +179,7 @@ Error instantiateComponents(const cfg::Config &Config,
 } // namespace
 
 Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
-                                         bool PublishMetrics,
-                                         BytecodeCache *Bytecode) {
+                                         bool PublishMetrics) {
   obs::ScopedTimer Timer("build");
   if (Error E = Config.validate())
     return E.withContext("invalid configuration");
@@ -219,25 +218,8 @@ Result<BuiltModel> swa::core::buildModel(const cfg::Config &Config,
     if (Error E = sa::checkNetwork(*Out.Net))
       return E.withContext("model validation");
   }
-  // Same-shape configs compile to identical bytecode (the window tables
-  // are data, not code), so consult the shape-keyed cache before paying
-  // for compilation. Inject falls back to compiling defensively if the
-  // cached site walk somehow disagrees.
-  std::shared_ptr<const sa::NetworkBytecode> Cached;
-  cfg::Fingerprint Shape;
-  if (Bytecode) {
-    Shape = cfg::fingerprintShape(Config);
-    Cached = Bytecode->lookup(Shape);
-  }
-  if (!Cached || !sa::injectBytecode(*Out.Net, *Cached)) {
-    if (Error E = sa::compileNetwork(*Out.Net))
-      return E;
-    if (Bytecode) {
-      auto BC = std::make_shared<sa::NetworkBytecode>();
-      sa::extractBytecode(*Out.Net, *BC);
-      Bytecode->insert(Shape, std::move(BC));
-    }
-  }
+  if (Error E = sa::compileNetwork(*Out.Net))
+    return E;
   Out.Net->Meta["horizon"] = L;
   Out.Net->Meta["numTasks"] = NT;
 

@@ -21,13 +21,9 @@
 #define SWA_CORE_INSTANCEBUILDER_H
 
 #include "config/Config.h"
-#include "config/Fingerprint.h"
-#include "sa/Compile.h"
 #include "sa/Network.h"
 
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace swa {
@@ -57,61 +53,14 @@ struct BuiltModel {
   int IsFailedSlot = -1;
 };
 
-/// Cache of compiled network bytecode keyed by config *shape*
-/// fingerprint. Two configs with equal cfg::fingerprintShape instantiate
-/// structurally identical networks whose USL sources differ only in the
-/// window tables — which reach the model as per-instance *data*, never
-/// as code (see WindowRebinder below) — so their compiled bytecode is
-/// byte-for-byte interchangeable. Compilation is about a fifth of a
-/// build (12.5k jobs, Release, 4-core Xeon VM: instantiate ~150 ms and
-/// compile ~40 ms of a ~200 ms build), so reusing it across same-shape
-/// builds removes the largest step after instantiation from an arena
-/// miss. Thread-safe; entries are immutable once inserted
-/// (shared_ptr<const>), so concurrent arena leases can hold the same
-/// bytecode.
-class BytecodeCache {
-public:
-  std::shared_ptr<const sa::NetworkBytecode>
-  lookup(const cfg::Fingerprint &Shape) const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Map.find(Shape);
-    return It == Map.end() ? nullptr : It->second;
-  }
-  void insert(const cfg::Fingerprint &Shape,
-              std::shared_ptr<const sa::NetworkBytecode> BC) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Map.emplace(Shape, std::move(BC)); // first insert wins
-  }
-  size_t size() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Map.size();
-  }
-
-private:
-  mutable std::mutex Mu;
-  std::unordered_map<cfg::Fingerprint,
-                     std::shared_ptr<const sa::NetworkBytecode>,
-                     cfg::FingerprintHash>
-      Map;
-};
-
 /// Runs Algorithm 1. The configuration is validated first.
 ///
 /// \p PublishMetrics gates the obs build counters (core.models.built,
 /// core.automata.instantiated). Model-arena rebuilds pass false: whether
 /// an arena slot exists is a timing fact under parallel workers, and the
 /// search's merged metrics must stay worker-count-invariant.
-///
-/// \p Bytecode (optional) skips USL compilation when it holds this
-/// config's shape: on a hit the cached bytecode is injected (with a
-/// defensive fallback to compiling if the site walks disagree); on a
-/// miss the freshly compiled bytecode is extracted and inserted. The
-/// produced model is identical either way — the cache only moves
-/// wall-clock, never verdicts, and no obs counters observe it (hit
-/// rates are timing facts under parallel workers).
 Result<BuiltModel> buildModel(const cfg::Config &Config,
-                              bool PublishMetrics = true,
-                              BytecodeCache *Bytecode = nullptr);
+                              bool PublishMetrics = true);
 
 /// Patch plan for retargeting a built model's CoreScheduler window
 /// tables in place. The window positions are the only part of a config

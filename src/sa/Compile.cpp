@@ -78,79 +78,33 @@ Error swa::sa::compileNetwork(Network &Net) {
   return Error::success();
 }
 
-// The one definition of the cacheable-site walk: visits every bytecode
-// slot of the network in the exact order compileNetwork fills them, so
-// extract and inject can never disagree with each other or with the
-// compiler about which sites exist.
-template <typename Fn> static void forEachCodeSite(sa::Network &Net, Fn F) {
+void swa::sa::forEachCodeSite(Network &Net,
+                              const std::function<void(usl::Code &)> &Fn) {
   for (usl::Code &C : Net.FuncCode)
-    F(C);
+    Fn(C);
   for (std::unique_ptr<Automaton> &A : Net.Automata) {
     for (Location &L : A->Locations) {
       if (L.DataInvariant)
-        F(L.DataInvariantCode);
+        Fn(L.DataInvariantCode);
       for (ClockUpper &U : L.Uppers)
-        F(U.BoundCode);
+        Fn(U.BoundCode);
       for (RateCond &R : L.Rates)
-        F(R.RateCode);
+        Fn(R.RateCode);
     }
     for (Edge &E : A->Edges) {
       if (E.DataGuard)
-        F(E.DataGuardCode);
+        Fn(E.DataGuardCode);
       for (ClockGuard &CG : E.ClockGuards)
-        F(CG.BoundCode);
+        Fn(CG.BoundCode);
       if (E.Sync && E.Sync->Index)
-        F(E.Sync->IndexCode);
+        Fn(E.Sync->IndexCode);
       if (!E.Update.empty())
-        F(E.UpdateCode);
+        Fn(E.UpdateCode);
     }
   }
-}
-
-void swa::sa::extractBytecode(const Network &Net, NetworkBytecode &Out) {
-  Out.Sites.clear();
-  // compileNetwork sized FuncCode to FuncTable; walking needs mutable
-  // references only for the inject direction.
-  forEachCodeSite(const_cast<Network &>(Net),
-                  [&](usl::Code &C) { Out.Sites.push_back(C); });
-}
-
-bool swa::sa::injectBytecode(Network &Net, const NetworkBytecode &BC) {
-  // compileNetwork fills FuncCode itself; the walk below only visits
-  // existing slots, so size it first exactly as the compiler would.
-  Net.FuncCode.assign(Net.Bind.FuncTable.size(), usl::Code());
-  size_t I = 0;
-  bool Ok = true;
-  forEachCodeSite(Net, [&](usl::Code &C) {
-    if (I < BC.Sites.size())
-      C = BC.Sites[I];
-    else
-      Ok = false;
-    ++I;
-  });
-  if (Ok && I == BC.Sites.size())
-    return true;
-  stripBytecode(Net);
-  return false;
 }
 
 void swa::sa::stripBytecode(Network &Net) {
+  forEachCodeSite(Net, [](usl::Code &C) { C.clear(); });
   Net.FuncCode.clear();
-  for (auto &A : Net.Automata) {
-    for (Location &L : A->Locations) {
-      L.DataInvariantCode.clear();
-      for (ClockUpper &U : L.Uppers)
-        U.BoundCode.clear();
-      for (RateCond &R : L.Rates)
-        R.RateCode.clear();
-    }
-    for (Edge &E : A->Edges) {
-      E.DataGuardCode.clear();
-      E.UpdateCode.clear();
-      for (ClockGuard &CG : E.ClockGuards)
-        CG.BoundCode.clear();
-      if (E.Sync)
-        E.Sync->IndexCode.clear();
-    }
-  }
 }

@@ -19,6 +19,8 @@
 
 #include "sa/Network.h"
 
+#include <functional>
+
 namespace swa {
 namespace sa {
 
@@ -31,26 +33,12 @@ Error compileNetwork(Network &Net);
 /// differential harness's VM-vs-interpreter oracle pair.
 void stripBytecode(Network &Net);
 
-/// A network's compiled bytecode, detached from the network: every code
-/// site in the deterministic walk order of compileNetwork (functions,
-/// then per automaton: location invariants/bounds/rates, then edge
-/// guards/bounds/sync indices/updates). Two networks built from configs
-/// with the same *shape fingerprint* (cfg::fingerprintShape) have
-/// identical site walks and identical USL sources — their bytecode is
-/// interchangeable, which is what core::BytecodeCache exploits to skip
-/// recompilation across candidate evaluations.
-struct NetworkBytecode {
-  std::vector<usl::Code> Sites;
-};
-
-/// Copies all bytecode of \p Net (which must have been compiled) into
-/// \p Out in walk order.
-void extractBytecode(const Network &Net, NetworkBytecode &Out);
-
-/// Installs \p BC into \p Net, site by site in walk order. Returns false
-/// (leaving Net without bytecode — the caller recompiles) when the site
-/// walks disagree, i.e. the cached bytecode is from a different shape.
-bool injectBytecode(Network &Net, const NetworkBytecode &BC);
+/// Visits every bytecode site of \p Net in the order compileNetwork fills
+/// them: functions, then per automaton its location invariants, bounds and
+/// rates, then its edge guards, bounds, sync indices and updates. Only
+/// sites that have source code are visited. stripBytecode clears through
+/// this walk, so it is the one definition of which sites exist.
+void forEachCodeSite(Network &Net, const std::function<void(usl::Code &)> &Fn);
 
 } // namespace sa
 } // namespace swa

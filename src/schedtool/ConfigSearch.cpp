@@ -27,7 +27,6 @@
 #include <deque>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 
 using namespace swa;
@@ -136,7 +135,7 @@ namespace {
 //   plan       derive each candidate's components from its mutation delta
 //   lookup     resolve components against the one verdict cache and
 //              deduplicate the misses into the round's simulation list
-//   simulate   run the list (early exit, leased arena instances)
+//   simulate   run the list (early exit, one model arena per pool thread)
 //   reduce     fill the cache, merge component verdicts, log, adapt
 //   checkpoint persist cache + loop state at the round boundary
 //
@@ -247,54 +246,6 @@ struct RoundWork {
   }
 };
 
-/// A pool of model arenas for instance reuse. ThreadPool::parallelFor
-/// exposes no worker identity, so simulations lease an arena each; with W
-/// workers at most W arenas ever exist and the steady state is one per
-/// worker. Verdicts are arena-independent (ModelArena.h), so which
-/// simulation draws which arena — a timing fact — cannot influence any
-/// result.
-class ArenaPool {
-public:
-  std::unique_ptr<analysis::ModelArena> acquire() {
-    std::lock_guard<std::mutex> Lock(M);
-    if (Free.empty()) {
-      // Every arena of the pool shares one compiled-bytecode cache:
-      // compilation is shape-keyed and its output immutable, so one
-      // worker's compile pays for every worker's rebuild of that shape
-      // (core::BytecodeCache — wall-clock only, never verdicts).
-      auto A = std::make_unique<analysis::ModelArena>();
-      A->setSharedBytecode(&Bytecode);
-      return A;
-    }
-    std::unique_ptr<analysis::ModelArena> A = std::move(Free.back());
-    Free.pop_back();
-    return A;
-  }
-  void release(std::unique_ptr<analysis::ModelArena> A) {
-    std::lock_guard<std::mutex> Lock(M);
-    Free.push_back(std::move(A));
-  }
-
-private:
-  std::mutex M;
-  std::vector<std::unique_ptr<analysis::ModelArena>> Free;
-  core::BytecodeCache Bytecode;
-};
-
-/// RAII lease of one arena for one simulation.
-class ArenaLease {
-public:
-  explicit ArenaLease(ArenaPool &Pool) : Pool(Pool), A(Pool.acquire()) {}
-  ~ArenaLease() { Pool.release(std::move(A)); }
-  ArenaLease(const ArenaLease &) = delete;
-  ArenaLease &operator=(const ArenaLease &) = delete;
-  analysis::ModelArena *get() const { return A.get(); }
-
-private:
-  ArenaPool &Pool;
-  std::unique_ptr<analysis::ModelArena> A;
-};
-
 /// The search's obs counters (stable registry addresses within the calling
 /// thread's shard), null when metrics are off. Only the calling thread
 /// touches them; workers publish engine-level counters into their own
@@ -342,7 +293,8 @@ struct SearchContext {
       : Problem(P), L(Bound.hyperperiod()),
         Decomposable(L > 0 && L != std::numeric_limits<int64_t>::max()),
         MsgGroups(cfg::messageGroups(Bound)), UF(Bound.Cores.size()),
-        Pool(std::max(1, P.Workers)) {
+        Pool(std::max(1, P.Workers)),
+        Arenas(static_cast<size_t>(Pool.threadCount())) {
     // Guard rails, first-miss early exit, and the global horizon: a
     // component carries its own (smaller) hyperperiod but is simulated to
     // L, so backlog beyond it is observed exactly as the whole config
@@ -365,9 +317,12 @@ struct SearchContext {
   const cfg::MessageGroups MsgGroups;
   support::UnionFind UF;
   ThreadPool Pool;
+  /// One model arena per pool slot. Verdicts are arena-independent
+  /// (ModelArena.h), so which slot runs which simulation — a timing fact
+  /// — cannot influence any result.
+  std::vector<analysis::ModelArena> Arenas;
   nsa::SimOptions SimOpts;
   VerdictCache Cache;
-  ArenaPool Arenas;
   SearchCounters C;
   uint32_t BaseCrc = 0;
 };
@@ -615,15 +570,15 @@ void lookupRound(SearchContext &Ctx, RoundWork &W) {
   }
 }
 
-/// Runs one simulation of the round's list.
-Eval simulate(SearchContext &Ctx, const Sim &S, int Index) {
+/// Runs one simulation of the round's list on the arena of pool slot
+/// \p Slot.
+Eval simulate(SearchContext &Ctx, const Sim &S, int Index, int Slot) {
   obs::Span Span("simulate.component", "search");
   Span.arg("cand", S.FirstCand);
   Span.arg("sim", Index);
-  ArenaLease Lease(Ctx.Arenas);
   Eval E;
-  Result<analysis::VerdictOutcome> Out =
-      analysis::analyzeVerdictOnly(*S.Sub, Ctx.SimOpts, Lease.get());
+  Result<analysis::VerdictOutcome> Out = analysis::analyzeVerdictOnly(
+      *S.Sub, Ctx.SimOpts, &Ctx.Arenas[static_cast<size_t>(Slot)]);
   if (Out.ok()) {
     E.Ok = true;
     E.V = std::move(*Out);
@@ -640,10 +595,11 @@ Eval simulate(SearchContext &Ctx, const Sim &S, int Index) {
 /// whichever thread runs it.
 void simulateRound(SearchContext &Ctx, RoundWork &W) {
   W.SimEvals.assign(W.Sims.size(), Eval());
-  Ctx.Pool.parallelFor(static_cast<int>(W.Sims.size()), [&](int I) {
-    W.SimEvals[static_cast<size_t>(I)] =
-        simulate(Ctx, W.Sims[static_cast<size_t>(I)], I);
-  });
+  Ctx.Pool.parallelFor(static_cast<int>(W.Sims.size()),
+                       [&](int I, int Slot) {
+                         W.SimEvals[static_cast<size_t>(I)] = simulate(
+                             Ctx, W.Sims[static_cast<size_t>(I)], I, Slot);
+                       });
 }
 
 /// Fills the cache from the round's simulations (in order of first need —

@@ -108,6 +108,12 @@ bool swa::parseUInt64(std::string_view S, uint64_t &Out) {
   return true;
 }
 
+bool swa::parseDecimal(std::string_view S, uint64_t &Out) {
+  if (S.empty() || S.find_first_not_of("0123456789") != std::string_view::npos)
+    return false;
+  return parseUInt64(S, Out);
+}
+
 std::string swa::join(const std::vector<std::string> &Pieces,
                       std::string_view Sep) {
   std::string Out;

@@ -43,6 +43,11 @@ bool parseInt64(std::string_view S, int64_t &Out);
 /// exceed the int64 range.
 bool parseUInt64(std::string_view S, uint64_t &Out);
 
+/// Parses a non-negative decimal integer and nothing else: no sign, no
+/// whitespace, within uint64 range. The strict form the command-line
+/// tools accept for seeds and numeric flag values.
+bool parseDecimal(std::string_view S, uint64_t &Out);
+
 /// Joins pieces with a separator.
 std::string join(const std::vector<std::string> &Pieces,
                  std::string_view Sep);

@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(int Threads) {
   int NWorkers = Threads > 1 ? Threads - 1 : 0;
   Workers.reserve(static_cast<size_t>(NWorkers));
   for (int I = 0; I < NWorkers; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+    Workers.emplace_back([this, I] { workerLoop(I + 1); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -25,13 +25,13 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::runIndices(JobState &S) {
+void ThreadPool::runIndices(JobState &S, int Slot) {
   for (;;) {
     int I = S.NextIndex.fetch_add(1, std::memory_order_relaxed);
     if (I >= S.N)
       return;
     try {
-      S.Fn(I);
+      S.Fn(I, Slot);
     } catch (...) {
       // Keep the first exception; the item still counts as completed so
       // Pending reaches zero and the pool stays usable.
@@ -47,7 +47,7 @@ void ThreadPool::runIndices(JobState &S) {
   }
 }
 
-void ThreadPool::workerLoop() {
+void ThreadPool::workerLoop(int Slot) {
   uint64_t SeenGen = 0;
   for (;;) {
     std::shared_ptr<JobState> S;
@@ -63,16 +63,16 @@ void ThreadPool::workerLoop() {
     // scheduled now, S is the newest job: either it still has indices (the
     // worker helps) or its cursor is exhausted (the loop no-ops). The
     // shared_ptr keeps the state alive past the caller's return either way.
-    runIndices(*S);
+    runIndices(*S, Slot);
   }
 }
 
-void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
+void ThreadPool::parallelFor(int N, const ItemFn &Fn) {
   if (N <= 0)
     return;
   if (Workers.empty() || N == 1) {
     for (int I = 0; I < N; ++I)
-      Fn(I);
+      Fn(I, 0);
     return;
   }
 
@@ -87,8 +87,8 @@ void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
   }
   WakeCv.notify_all();
 
-  // The caller is a full participant.
-  runIndices(*S);
+  // The caller is a full participant, on slot 0.
+  runIndices(*S, 0);
 
   // Wait until every item ran. Workers still inside runIndices after that
   // hold their own shared_ptr to S and find an exhausted cursor, so the

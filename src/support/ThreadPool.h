@@ -17,6 +17,11 @@
 /// parallelFor inline on the caller; the parallel and serial paths are the
 /// same code.
 ///
+/// Every item also receives the *slot* of the thread running it: 0 for
+/// the caller, 1..threadCount()-1 for the workers. A slot runs at most one
+/// item at a time, so callers keep per-thread state (a model arena) in a
+/// vector of threadCount() entries indexed by slot, with no locking.
+///
 /// Each parallelFor call publishes its own heap-allocated job state (a
 /// copy of the callable plus private index/pending cursors) held by
 /// shared_ptr. A worker that was notified for a job but only gets
@@ -59,12 +64,15 @@ public:
     return static_cast<int>(Workers.size()) + 1;
   }
 
-  /// Runs Fn(I) for every I in [0, N), distributing indices over the
-  /// workers and the calling thread; returns when all N calls finished.
-  /// Fn must be safe to call concurrently for distinct indices. Must not
-  /// be re-entered from inside Fn. If Fn throws, the first exception is
-  /// rethrown here after the whole range ran.
-  void parallelFor(int N, const std::function<void(int)> &Fn);
+  /// Runs Fn(I, Slot) for every I in [0, N), distributing indices over
+  /// the workers and the calling thread; returns when all N calls
+  /// finished. Slot identifies the running thread (see the file comment).
+  /// Fn must be safe to call concurrently for distinct indices and slots.
+  /// Must not be re-entered from inside Fn, nor called from two threads
+  /// at once. If Fn throws, the first exception is rethrown here after
+  /// the whole range ran.
+  using ItemFn = std::function<void(int Index, int Slot)>;
+  void parallelFor(int N, const ItemFn &Fn);
 
 private:
   /// One job's complete state, shared by the caller and every worker that
@@ -72,7 +80,7 @@ private:
   /// worker holding a previous job keeps valid (exhausted) state instead
   /// of racing on reused members.
   struct JobState {
-    std::function<void(int)> Fn; ///< Owned copy; outlives the caller's arg.
+    ItemFn Fn; ///< Owned copy; outlives the caller's arg.
     int N = 0;
     std::atomic<int> NextIndex{0};
     /// Items not yet completed; the job is done at zero.
@@ -81,8 +89,8 @@ private:
     std::exception_ptr Exc; ///< First exception; read after Pending == 0.
   };
 
-  void workerLoop();
-  void runIndices(JobState &S);
+  void workerLoop(int Slot);
+  void runIndices(JobState &S, int Slot);
 
   std::vector<std::thread> Workers;
 

@@ -276,7 +276,7 @@ ConstructionDigest digestConstruction(const cfg::Config &C) {
   EXPECT_TRUE(Model.ok()) << Model.error().message();
   if (!Model.ok())
     return D;
-  const sa::Network &Net = *Model->Net;
+  sa::Network &Net = *Model->Net;
   D.Reads = FnvOffset;
   for (const auto &A : Net.Automata) {
     D.Reads = fnvValue<uint64_t>(D.Reads, A->StaticReads.size());
@@ -285,17 +285,15 @@ ConstructionDigest digestConstruction(const cfg::Config &C) {
   }
   std::string Printed = sa::printNetwork(Net);
   D.Network = fnv(FnvOffset, Printed.data(), Printed.size());
-  sa::NetworkBytecode BC;
-  sa::extractBytecode(Net, BC);
   D.Code = FnvOffset;
-  for (const usl::Code &Site : BC.Sites) {
+  sa::forEachCodeSite(Net, [&](const usl::Code &Site) {
     D.Code = fnvValue<uint64_t>(D.Code, Site.size());
     for (const usl::Insn &I : Site) {
       D.Code = fnvValue(D.Code, static_cast<uint8_t>(I.Code));
       D.Code = fnvValue(D.Code, I.A);
       D.Code = fnvValue(D.Code, I.Imm);
     }
-  }
+  });
   for (const std::vector<int64_t> &Arr : Net.Bind.ConstArrays) {
     D.Code = fnvValue<uint64_t>(D.Code, Arr.size());
     for (int64_t V : Arr)

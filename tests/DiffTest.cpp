@@ -37,7 +37,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+
+#include <sys/wait.h>
 
 using namespace swa;
 
@@ -678,6 +681,39 @@ TEST(DiffTraceSink, EndRecordSealsGuardRailAborts) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// The campaign CLI (SWA_DIFFTEST_CAMPAIGN_BIN, a build-time path).
+//===----------------------------------------------------------------------===//
+
+#ifdef SWA_DIFFTEST_CAMPAIGN_BIN
+TEST(DiffCampaignCli, RejectsMalformedNumbers) {
+  // A malformed, signed or out-of-range number must not become a default
+  // or a prefix: usage on stderr and exit 1 before any configuration runs
+  // (stdout stays empty — no "campaign:" line that a gate could read as
+  // clean). Each case pins --configs 1 where it is not the flag under
+  // test, so a binary that does accept the bad value stays quick.
+  for (const char *Args :
+       {"--configs abc", "--configs 2OO", "--configs 0", "--configs -1",
+        "--configs 99999999999999999999", "--configs", "--seed x --configs 1",
+        "--seed -1 --configs 1", "--seed 99999999999999999999 --configs 1",
+        "--budget-ms -5 --configs 1", "--budget-ms 1e3 --configs 1",
+        "--confgs 1"}) {
+    std::string Cmd =
+        std::string(SWA_DIFFTEST_CAMPAIGN_BIN) + " " + Args + " 2>/dev/null";
+    FILE *P = popen(Cmd.c_str(), "r");
+    ASSERT_NE(P, nullptr) << Args;
+    std::string Out;
+    char Buf[256];
+    while (size_t N = fread(Buf, 1, sizeof Buf, P))
+      Out.append(Buf, N);
+    int Status = pclose(P);
+    ASSERT_TRUE(WIFEXITED(Status)) << Args;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Args;
+    EXPECT_EQ(Out, "") << Args;
+  }
+}
+#endif // SWA_DIFFTEST_CAMPAIGN_BIN
 
 int main(int argc, char **argv) {
   ::testing::InitGoogleTest(&argc, argv);
