@@ -92,7 +92,7 @@ inline void exportObsCounters(benchmark::State &State) {
     ::benchmark::Shutdown();                                                \
     if (swa::obs::enabled()) {                                              \
       std::cerr << "--- observability report (--metrics) ---\n";            \
-      swa::obs::report(std::cerr, false);                                   \
+      swa::obs::report(std::cerr);                                          \
     }                                                                       \
     if (Ran == 0) {                                                         \
       std::cerr << "error: no benchmark matched the filter\n";              \

@@ -84,6 +84,13 @@ cfg::Config swa::analysis::withUniformInflation(const cfg::Config &Base,
 
 namespace {
 
+/// Convergence granularity of the breakdown-frontier factor search, in
+/// per-mille of the inflation factor.
+constexpr int FrontierTolerancePermille = 10;
+/// Safety valve per query; every search here converges in well under 64
+/// probes, so hitting the cap marks the query undecided.
+constexpr int MaxProbesPerQuery = 64;
+
 enum class Probe { Pass, Fail, Undecided };
 
 /// One query's oracle frontend: validates, consults the shared verdict
@@ -125,7 +132,7 @@ struct ProbeEngine {
       Aborted = true;
       return Probe::Undecided;
     }
-    if (Probes >= Opts.MaxProbesPerQuery) {
+    if (Probes >= MaxProbesPerQuery) {
       Aborted = true;
       return Probe::Undecided;
     }
@@ -389,7 +396,7 @@ BreakdownFrontierResult frontierQuery(const cfg::Config &Base,
     return R;
   }
   int Lo = 1000, Hi = R.DomainMaxPermille;
-  while (Hi - Lo > E.Opts.FrontierTolerancePermille) {
+  while (Hi - Lo > FrontierTolerancePermille) {
     int Mid = Lo + (Hi - Lo) / 2;
     if (Mid == Lo)
       break;

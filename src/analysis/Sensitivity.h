@@ -84,15 +84,9 @@ struct SensitivityOptions {
   /// brackets are within this many ticks. 1 (the default) makes the
   /// certificate pair adjacent.
   cfg::TimeValue ToleranceTicks = 1;
-  /// Convergence granularity of the breakdown-frontier factor search, in
-  /// per-mille of the inflation factor.
-  int FrontierTolerancePermille = 10;
   /// Threads for the query fan-out (1 = serial). Results are
   /// byte-identical for every value.
   int Workers = 1;
-  /// Safety valve per query; every search here converges in well under 64
-  /// probes, so hitting the cap marks the query undecided.
-  int MaxProbesPerQuery = 64;
   /// Which parameter families to query.
   bool QueryWcet = true;
   bool QueryPeriod = true;

@@ -99,7 +99,7 @@ OracleReport swa::difftest::runOracles(const cfg::Config &Config,
   nsa::SimOptions SimOpts;
   SimOpts.WallClockBudgetMs = Options.SimBudgetMs;
   if (Options.CheckInvariants)
-    SimOpts.Checker = &Checker;
+    SimOpts.Observer = &Checker;
   // Watch the failure flags so the full run reports its first-miss
   // instant/task set — the reference the early-exit and decomposition
   // pairs compare against. Watching never perturbs the run.

@@ -153,7 +153,7 @@ swa::difftest::replayReproducer(const Reproducer &R,
     nsa::FaultPlan Fault = R.Fault;
     Fault.Fired = false;
     nsa::SimOptions SimOpts;
-    SimOpts.Checker = &Checker;
+    SimOpts.Observer = &Checker;
     SimOpts.Fault = &Fault;
     nsa::Simulator Sim(*Model->Net);
     nsa::SimResult Res = Sim.run(SimOpts);

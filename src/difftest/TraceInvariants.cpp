@@ -51,7 +51,8 @@ TraceInvariantChecker::TraceInvariantChecker(const core::BuiltModel &Model)
   ExecAccum.assign(static_cast<size_t>(NT), 0);
 }
 
-void TraceInvariantChecker::onRunStart(const nsa::State &Initial) {
+void TraceInvariantChecker::onRunStart(const sa::Network &,
+                                       const nsa::State &Initial) {
   Shadow = Initial;
   LastTime = Initial.Now;
   Counters = Stats();
@@ -234,7 +235,11 @@ std::string TraceInvariantChecker::onDelay(int64_t From,
   return compareShadow(Post, "after delay");
 }
 
-std::string TraceInvariantChecker::onRunEnd(const nsa::State &Final) {
+std::string TraceInvariantChecker::onRunEnd(const nsa::State &Final,
+                                            nsa::StopReason Stop,
+                                            const std::string &) {
+  if (Stop != nsa::StopReason::Completed)
+    return {};
   // Backstop: whatever happened between the last callback and the end of
   // the run, the engine's final state must equal the shadow's.
   return compareShadow(Final, "at run end");

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// An nsa::RunChecker that validates, online, the semantic invariants the
+/// An nsa::RunObserver that validates, online, the semantic invariants the
 /// paper's schedulability argument rests on — independently of the engine
 /// that produces the run. Two layers:
 ///
@@ -44,17 +44,20 @@
 namespace swa {
 namespace difftest {
 
-class TraceInvariantChecker : public nsa::RunChecker {
+class TraceInvariantChecker : public nsa::RunObserver {
 public:
   /// \p Model must outlive the checker (it keeps references into the
   /// network and the configuration).
   explicit TraceInvariantChecker(const core::BuiltModel &Model);
 
-  void onRunStart(const nsa::State &Initial) override;
+  void onRunStart(const sa::Network &Net, const nsa::State &Initial) override;
   std::string onStep(const nsa::State &Post, const nsa::Step &St,
                      const std::vector<int32_t> &Writes) override;
   std::string onDelay(int64_t From, const nsa::State &Post) override;
-  std::string onRunEnd(const nsa::State &Final) override;
+  /// Compares the final state with the shadow after a Completed run;
+  /// any other stop leaves nothing to check.
+  std::string onRunEnd(const nsa::State &Final, nsa::StopReason Stop,
+                       const std::string &Error) override;
 
   struct Stats {
     uint64_t StepsChecked = 0;

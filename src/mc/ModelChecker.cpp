@@ -147,10 +147,8 @@ McResult ModelChecker::explore(const McOptions &Options,
   std::unordered_set<uint64_t> FinalHashes;
   auto RememberFinal = [&](const State &S) {
     uint64_t H = StateHash()(S);
-    bool Fresh = FinalHashes.insert(H).second;
+    FinalHashes.insert(H);
     Res.FinalStateHash = H;
-    if (Fresh && Options.KeepFinalStates)
-      Res.FinalStates.push_back(S);
   };
   auto Remember = [&](const State &S) {
     if (Options.CompactVisited)
@@ -225,8 +223,7 @@ McResult ModelChecker::explore(const McOptions &Options,
       Res.ViolatingState = S;
       if (Witness)
         Res.Witness = BuildWitness(NodeId);
-      if (Options.StopAtFirstViolation)
-        return Res;
+      return Res;
     }
 
     bool AnyAction = false;
@@ -288,28 +285,6 @@ McResult ModelChecker::explore(const McOptions &Options,
 
   Res.DistinctFinalStates = FinalHashes.size();
   return Res;
-}
-
-ModelChecker::StatePredicate
-ModelChecker::locationReached(const sa::Network &Net,
-                              const std::string &AutName,
-                              const std::string &LocName) {
-  int AutIdx = -1;
-  int LocIdx = -1;
-  for (size_t A = 0; A < Net.Automata.size(); ++A) {
-    if (Net.Automata[A]->Name != AutName)
-      continue;
-    AutIdx = static_cast<int>(A);
-    const auto &Locs = Net.Automata[A]->Locations;
-    for (size_t L = 0; L < Locs.size(); ++L)
-      if (Locs[L].Name == LocName)
-        LocIdx = static_cast<int>(L);
-    break;
-  }
-  return [AutIdx, LocIdx](const Exec &, const State &S) {
-    return AutIdx >= 0 && LocIdx >= 0 &&
-           S.Locs[static_cast<size_t>(AutIdx)] == LocIdx;
-  };
 }
 
 ModelChecker::StatePredicate

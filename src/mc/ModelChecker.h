@@ -17,9 +17,10 @@
 /// checking is the factorial/exponential interleaving of simultaneous
 /// events — exactly the effect Table 1 measures. See DESIGN.md §5.
 ///
-/// Properties are state predicates ("bad state reached"); helpers cover the
-/// two forms used throughout: an automaton reaching a named location (the
-/// observers' "bad" location) and a store variable becoming nonzero.
+/// Properties are state predicates ("bad state reached"); exploration stops
+/// at the first bad state. storeNonZero() builds the form used throughout:
+/// a store variable (an observer's or a task's failure flag) becoming
+/// nonzero.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +41,6 @@ struct McOptions {
   int64_t Horizon = -1;
   /// State budget; exceeded => Error set.
   uint64_t MaxStates = 20000000ULL;
-  /// Stop at the first property violation (otherwise keep exploring).
-  bool StopAtFirstViolation = true;
   /// Store only 64-bit hashes in the visited set (memory-light mode used
   /// for the larger Table-1 points; collision probability is negligible at
   /// these state counts and only affects the baseline's timing, not the
@@ -50,10 +49,6 @@ struct McOptions {
   /// Record predecessor links so a property violation comes with a
   /// counterexample path (incompatible with CompactVisited).
   bool RecordWitness = false;
-  /// Keep one representative full state per distinct final-state hash in
-  /// McResult::FinalStates. Used to diagnose census mismatches (which
-  /// state component diverges across interleavings).
-  bool KeepFinalStates = false;
 };
 
 /// One step of a counterexample path.
@@ -75,9 +70,6 @@ struct McResult {
   /// comparable against StateHash of the simulator's SimResult::Final —
   /// the census-vs-trace oracle pair in src/difftest/ relies on this.
   uint64_t FinalStateHash = 0;
-  /// One representative state per distinct final hash (only with
-  /// McOptions::KeepFinalStates).
-  std::vector<nsa::State> FinalStates;
   bool PropertyViolated = false;
   nsa::State ViolatingState;
   /// Counterexample path from the initial state to ViolatingState (only
@@ -96,14 +88,10 @@ public:
 
   explicit ModelChecker(const sa::Network &Net);
 
-  /// Explores the reachable state space from the initial state.
+  /// Explores the reachable state space from the initial state, stopping
+  /// at the first state \p BadState flags.
   McResult explore(const McOptions &Options = {},
                    const StatePredicate &BadState = nullptr);
-
-  /// Predicate: automaton \p AutName occupies location \p LocName.
-  static StatePredicate locationReached(const sa::Network &Net,
-                                        const std::string &AutName,
-                                        const std::string &LocName);
 
   /// Predicate: scalar store variable \p VarName is nonzero, or any element
   /// of an array variable is nonzero.

@@ -356,24 +356,3 @@ const sa::Template &ModelLibrary::scheduler(cfg::SchedulerKind K) const {
   }
   return *Fpps;
 }
-
-void ModelLibrary::registerTemplate(std::unique_ptr<sa::Template> T) {
-  Extra[T->name()] = std::move(T);
-}
-
-const sa::Template *ModelLibrary::byName(const std::string &Name) const {
-  if (Name == Task->name())
-    return Task.get();
-  if (Name == Fpps->name())
-    return Fpps.get();
-  if (Name == Fpnps->name())
-    return Fpnps.get();
-  if (Name == Edf->name())
-    return Edf.get();
-  if (Name == CoreSched->name())
-    return CoreSched.get();
-  if (Name == Link->name())
-    return Link.get();
-  auto It = Extra.find(Name);
-  return It == Extra.end() ? nullptr : It->second.get();
-}

@@ -40,7 +40,6 @@
 #include "config/Config.h"
 #include "sa/Template.h"
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -67,13 +66,6 @@ public:
   /// The task-scheduler template for a scheduling algorithm kind.
   const sa::Template &scheduler(cfg::SchedulerKind K) const;
 
-  /// Registers a user-supplied template (e.g. a custom scheduler parsed
-  /// from the UPPAAL-like XML format); it becomes retrievable by name.
-  void registerTemplate(std::unique_ptr<sa::Template> T);
-
-  /// Looks up any template (standard or user-registered) by name, or null.
-  const sa::Template *byName(const std::string &Name) const;
-
 private:
   ModelLibrary() = default;
 
@@ -83,7 +75,6 @@ private:
   std::unique_ptr<sa::Template> Edf;
   std::unique_ptr<sa::Template> CoreSched;
   std::unique_ptr<sa::Template> Link;
-  std::map<std::string, std::unique_ptr<sa::Template>> Extra;
 };
 
 } // namespace models

@@ -8,7 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Timer.h"
-#include "obs/TraceSink.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -18,14 +17,17 @@
 using namespace swa;
 using namespace swa::nsa;
 
-RunChecker::~RunChecker() = default;
-void RunChecker::onRunStart(const State &) {}
-std::string RunChecker::onStep(const State &, const Step &,
-                               const std::vector<int32_t> &) {
+RunObserver::~RunObserver() = default;
+void RunObserver::onRunStart(const sa::Network &, const State &) {}
+std::string RunObserver::onStep(const State &, const Step &,
+                                const std::vector<int32_t> &) {
   return {};
 }
-std::string RunChecker::onDelay(int64_t, const State &) { return {}; }
-std::string RunChecker::onRunEnd(const State &) { return {}; }
+std::string RunObserver::onDelay(int64_t, const State &) { return {}; }
+std::string RunObserver::onRunEnd(const State &, StopReason,
+                                  const std::string &) {
+  return {};
+}
 
 const char *swa::nsa::faultKindName(FaultPlan::Kind K) {
   switch (K) {
@@ -302,22 +304,9 @@ SimResult Simulator::run(const SimOptions &Options) {
   SimResult Res;
   reset();
 
-  bool Metrics = Options.MetricsEnabled || obs::enabled();
+  bool Metrics = obs::enabled();
   if (Metrics)
     StepsPerAut.assign(Net.Automata.size(), 0);
-
-  // Slot-name table for variable-write events; built only when a sink is
-  // attached (the hot path never touches it).
-  obs::EventSink *Sink = Options.Sink;
-  std::vector<std::string> SlotNames;
-  if (Sink) {
-    SlotNames.resize(Net.InitialStore.size());
-    for (const sa::VarInfo &V : Net.Vars)
-      for (int I = 0; I < V.Size; ++I)
-        if (static_cast<size_t>(V.Base + I) < SlotNames.size())
-          SlotNames[static_cast<size_t>(V.Base + I)] =
-              V.Size == 1 ? V.Name : formatString("%s[%d]", V.Name.c_str(), I);
-  }
 
   int64_t Horizon = Options.Horizon >= 0
                         ? Options.Horizon
@@ -341,13 +330,13 @@ SimResult Simulator::run(const SimOptions &Options) {
   constexpr uint64_t GuardInterval = 4096;
   uint64_t GuardTick = 0;
 
-  // Differential-testing hooks: both default to null, so the production
-  // hot path pays nothing but the (perfectly predicted) null tests.
-  RunChecker *Checker = Options.Checker;
+  // Observer and fault injection both default to null, so the verdict
+  // path pays nothing but the (perfectly predicted) null tests.
+  RunObserver *Observer = Options.Observer;
   FaultPlan *Fault = Options.Fault;
-  if (Checker)
-    Checker->onRunStart(S);
-  auto CheckerTripped = [&](const std::string &Violation) {
+  if (Observer)
+    Observer->onRunStart(Net, S);
+  auto ObserverTripped = [&](const std::string &Violation) {
     Res.Stop = StopReason::InvariantViolation;
     Res.Error = formatString(
         "trace invariant violated at t=%lld after %llu actions: %s",
@@ -388,7 +377,7 @@ SimResult Simulator::run(const SimOptions &Options) {
                      ? pickStepRandom(St, *Options.RandomOrder)
                      : pickStepDeterministic(St);
     if (Found) {
-      if (++Res.ActionCount > Options.MaxActions) {
+      if (Res.ActionCount == Options.MaxActions) {
         const char *LastName =
             LastStepped >= 0
                 ? Net.Automata[static_cast<size_t>(LastStepped)]->Name.c_str()
@@ -400,12 +389,13 @@ SimResult Simulator::run(const SimOptions &Options) {
             "model?)",
             static_cast<unsigned long long>(Options.MaxActions),
             static_cast<long long>(S.Now),
-            static_cast<unsigned long long>(Res.ActionCount - 1), LastName);
+            static_cast<unsigned long long>(Res.ActionCount), LastName);
         break;
       }
+      ++Res.ActionCount;
       // Fault injection (checker self-test): a sync skip must corrupt the
       // step *before* it is applied; the state perturbations are injected
-      // after the checker observed this step, so detection happens through
+      // after the observer saw this step, so detection happens through
       // the invariants, not by the injector telling on itself.
       if (Fault && !Fault->Fired && Res.ActionCount == Fault->AtAction &&
           Fault->FaultKind == FaultPlan::Kind::SkipSync) {
@@ -424,8 +414,7 @@ SimResult Simulator::run(const SimOptions &Options) {
       LastStepped = St.InitiatorAut;
       if (!StepsPerAut.empty())
         ++StepsPerAut[static_cast<size_t>(St.InitiatorAut)];
-      if (Options.RecordTrace &&
-          (St.Initiator.ChanId >= 0 || Options.RecordInternal)) {
+      if (Options.RecordTrace && St.Initiator.ChanId >= 0) {
         Event E;
         E.Time = S.Now;
         E.Channel = St.Initiator.ChanId;
@@ -435,16 +424,10 @@ SimResult Simulator::run(const SimOptions &Options) {
           E.Receivers.push_back({R.Aut, R.Inst.Edge});
         Res.Events.push_back(std::move(E));
       }
-      if (Sink) {
-        emitActionToSink(*Sink, St, S.Now);
-        for (int32_t Slot : WriteLog)
-          Sink->onVarWrite(S.Now, SlotNames[static_cast<size_t>(Slot)], Slot,
-                           S.Store[static_cast<size_t>(Slot)]);
-      }
-      if (Checker) {
-        std::string V = Checker->onStep(S, St, WriteLog);
+      if (Observer) {
+        std::string V = Observer->onStep(S, St, WriteLog);
         if (!V.empty()) {
-          CheckerTripped(V);
+          ObserverTripped(V);
           break;
         }
       }
@@ -528,53 +511,27 @@ SimResult Simulator::run(const SimOptions &Options) {
     }
     // Actions at exactly the horizon still belong to the analyzed window
     // (a job with deadline == period fails precisely at the hyperperiod
-    // boundary); only strictly later wakes end the run.
-    if (Next >= TimeInfinity) {
-      if (Horizon < TimeInfinity) {
-        int64_t Prev = S.Now;
-        Ex.advanceTime(S, Horizon - S.Now);
-        if (Sink && S.Now != Prev)
-          Sink->onDelay(Prev, S.Now);
-        if (Checker && S.Now != Prev) {
-          std::string V = Checker->onDelay(Prev, S);
-          if (!V.empty()) {
-            CheckerTripped(V);
-            break;
-          }
-        }
-        Res.HorizonReached = true;
-      } else {
-        Res.Quiescent = true;
-      }
+    // boundary); only strictly later wakes end the run, after a last
+    // advance to the horizon itself.
+    if (Next >= TimeInfinity && Horizon >= TimeInfinity) {
+      Res.Quiescent = true;
       break;
     }
-    if (Next > Horizon) {
-      int64_t Prev = S.Now;
-      Ex.advanceTime(S, Horizon - S.Now);
-      if (Sink && S.Now != Prev)
-        Sink->onDelay(Prev, S.Now);
-      if (Checker && S.Now != Prev) {
-        std::string V = Checker->onDelay(Prev, S);
-        if (!V.empty()) {
-          CheckerTripped(V);
-          break;
-        }
-      }
-      Res.HorizonReached = true;
-      break;
-    }
-
+    const bool ToHorizon = Next > Horizon;
     int64_t Prev = S.Now;
-    Ex.advanceTime(S, Next - S.Now);
-    ++Res.DelayCount;
-    if (Sink)
-      Sink->onDelay(Prev, S.Now);
-    if (Checker) {
-      std::string V = Checker->onDelay(Prev, S);
+    Ex.advanceTime(S, (ToHorizon ? Horizon : Next) - S.Now);
+    if (!ToHorizon)
+      ++Res.DelayCount;
+    if (Observer && S.Now != Prev) {
+      std::string V = Observer->onDelay(Prev, S);
       if (!V.empty()) {
-        CheckerTripped(V);
+        ObserverTripped(V);
         break;
       }
+    }
+    if (ToHorizon) {
+      Res.HorizonReached = true;
+      break;
     }
     // Wake every automaton whose deadline arrived.
     while (!WakeHeap.empty() && WakeHeap.top().Key <= Next) {
@@ -585,10 +542,10 @@ SimResult Simulator::run(const SimOptions &Options) {
     }
   }
 
-  if (Checker && Res.Stop == StopReason::Completed) {
-    std::string V = Checker->onRunEnd(S);
-    if (!V.empty())
-      CheckerTripped(V);
+  if (Observer) {
+    std::string V = Observer->onRunEnd(S, Res.Stop, Res.Error);
+    if (!V.empty() && Res.ok())
+      ObserverTripped(V);
   }
 
   if (!Res.FirstMissSlots.empty()) {
@@ -598,28 +555,9 @@ SimResult Simulator::run(const SimOptions &Options) {
         Res.FirstMissSlots.end());
   }
   Res.Final = S;
-  if (Sink)
-    Sink->onRunEnd(stopReasonName(Res.Stop), Res.Error);
   if (Metrics)
     publishMetrics(Res);
   return Res;
-}
-
-void Simulator::emitActionToSink(obs::EventSink &Sink, const Step &St,
-                                 int64_t Time) const {
-  obs::EventSink::Participant Init{
-      St.InitiatorAut,
-      Net.Automata[static_cast<size_t>(St.InitiatorAut)]->Name,
-      St.Initiator.Edge};
-  std::vector<obs::EventSink::Participant> Recvs;
-  Recvs.reserve(St.Receivers.size());
-  for (const Step::Recv &R : St.Receivers)
-    Recvs.push_back({R.Aut, Net.Automata[static_cast<size_t>(R.Aut)]->Name,
-                     R.Inst.Edge});
-  std::string ChanName;
-  if (St.Initiator.ChanId >= 0)
-    ChanName = Net.channelIdName(St.Initiator.ChanId);
-  Sink.onAction(Time, St.Initiator.ChanId, ChanName, Init, Recvs);
 }
 
 void Simulator::publishMetrics(const SimResult &Res) const {

@@ -42,49 +42,88 @@
 #include <string>
 
 namespace swa {
-namespace obs {
-class EventSink;
-} // namespace obs
-
 namespace nsa {
 
 struct Step;
 
-/// Online run-invariant observer (the differential-testing harness's
-/// oracle-inside-the-engine, see src/difftest/). The simulator calls the
-/// hooks after every applied action step and every delay; a hook returns
-/// an empty string when the invariant holds, or a description of the
-/// violation, which stops the run with StopReason::InvariantViolation.
-///
-/// Checkers are pure observers like obs::EventSink: the engine hands them
-/// const references to what it already decided and never reads anything
-/// back, so a clean checker cannot perturb the run (asserted by the
-/// trace-identity test in tests/DiffTest.cpp).
-class RunChecker {
-public:
-  virtual ~RunChecker();
+/// Why a run ended, one level more structured than the ok()/Error split:
+/// guard-rail stops (Cancelled/BudgetExceeded) mean "no verdict, through
+/// no fault of the model" and are distinct from model errors and from the
+/// action-budget livelock valve.
+enum class StopReason {
+  Completed,      ///< Quiescent or horizon reached: the trace is complete.
+  MaxActions,     ///< SimOptions::MaxActions exhausted (livelock suspicion).
+  Cancelled,      ///< SimOptions::Cancel fired.
+  BudgetExceeded, ///< SimOptions::WallClockBudgetMs elapsed.
+  ModelError,     ///< Deadlock, time-lock or invariant violation.
+  /// SimOptions::Observer reported a trace-invariant violation. Distinct
+  /// from ModelError so the differential harness can tell "the engine's
+  /// own guards tripped" from "the independent oracle caught it".
+  InvariantViolation,
+  /// SimOptions::StopOnFirstMiss fired: a watched fail slot went nonzero
+  /// and the miss instant completed. Unlike the other non-Completed stops
+  /// this is a *successful* early verdict, not an error — SimResult::Error
+  /// stays empty and ok() stays true; the trace is a faithful prefix of
+  /// the full run truncated at the first-miss instant.
+  DeadlineMiss,
+};
 
-  /// The run was reset to the network's initial state.
-  virtual void onRunStart(const State &Initial);
+/// Number of StopReason values — sized for taxonomy arrays (run reports,
+/// per-reason counters). Keep in step with the enum above.
+constexpr int NumStopReasons = static_cast<int>(StopReason::DeadlineMiss) + 1;
+
+/// Short stable name for a StopReason ("completed", "budget-exceeded", ...).
+const char *stopReasonName(StopReason R);
+
+/// Watches one run without steering it — the one way to observe the step
+/// stream. The JSONL trace writer (nsa/JsonlSink.h) and the
+/// differential-testing invariant checker (difftest/TraceInvariants.h)
+/// implement it. The simulator calls the hooks after every applied action
+/// step and every advance of model time; a hook returns an empty string
+/// when all is well, or a description of a violated invariant, which stops
+/// the run with StopReason::InvariantViolation.
+///
+/// The engine hands the hooks const references to what it already decided
+/// and never reads anything back, so an observer that never reports a
+/// violation cannot perturb the run (asserted by the trace-identity tests
+/// in tests/DiffTest.cpp and tests/ObsTest.cpp). Default implementations
+/// ignore everything, so an observer overrides only what it needs.
+class RunObserver {
+public:
+  RunObserver() = default;
+  RunObserver(const RunObserver &) = delete;
+  RunObserver &operator=(const RunObserver &) = delete;
+  virtual ~RunObserver();
+
+  /// The run was reset to \p Net's initial state \p Initial. \p Net
+  /// outlives the run, so an observer may keep a reference until
+  /// onRunEnd.
+  virtual void onRunStart(const sa::Network &Net, const State &Initial);
 
   /// An action step was applied; \p Post is the post-state and \p Writes
   /// the store slots the step's updates wrote (possibly unchanged).
   virtual std::string onStep(const State &Post, const Step &St,
                              const std::vector<int32_t> &Writes);
 
-  /// Model time advanced from \p From to Post.Now.
+  /// Model time advanced from \p From to Post.Now (> From). Called once
+  /// per advance, the final one to the horizon included.
   virtual std::string onDelay(int64_t From, const State &Post);
 
-  /// The run ended normally with \p Final as the final state (not called
-  /// after an error or guard-rail stop — the state is then incomplete).
-  virtual std::string onRunEnd(const State &Final);
+  /// The run ended, on *every* exit path (guard-rail aborts and errors
+  /// included), with its stop reason and error message (empty on
+  /// success). \p Final is complete only for Completed and DeadlineMiss.
+  /// A violation returned here replaces a successful stop; an error stop
+  /// stands.
+  virtual std::string onRunEnd(const State &Final, StopReason Stop,
+                               const std::string &Error);
 };
 
 /// A deliberate, one-shot perturbation of engine state, injected mid-run
-/// to prove a RunChecker actually detects the corresponding corruption
-/// class (a self-test of the oracle, not of the engine; see DESIGN.md,
-/// "Differential testing & fault injection"). The injection bypasses the
-/// engine's own bookkeeping on purpose: no dirty marks, no write log.
+/// to prove the invariant checker actually detects the corresponding
+/// corruption class (a self-test of the oracle, not of the engine; see
+/// DESIGN.md, "Differential testing & fault injection"). The injection
+/// bypasses the engine's own bookkeeping on purpose: no dirty marks, no
+/// write log.
 struct FaultPlan {
   enum class Kind {
     FlipVariable, ///< Add Delta to store slot Index after action AtAction.
@@ -110,25 +149,20 @@ struct SimOptions {
   int64_t Horizon = -1;
   /// Safety valve on the number of action transitions.
   uint64_t MaxActions = 100000000ULL;
-  /// Materialize the synchronization trace in SimResult::Events. Callers
-  /// that only need the verdict/final state (e.g. the config-search inner
-  /// loop) turn this off to skip the per-event allocations entirely.
+  /// Materialize the synchronization trace (synchronized action steps
+  /// only) in SimResult::Events. Callers that only need the verdict/final
+  /// state (e.g. the config-search inner loop) turn this off to skip the
+  /// per-event allocations entirely.
   bool RecordTrace = true;
-  /// Record internal (unsynchronized) transitions in the trace.
-  bool RecordInternal = false;
   /// When non-null, fireable steps are chosen uniformly at random instead
   /// of by the deterministic order (trace-equivalence testing).
   Rng *RandomOrder = nullptr;
-  /// Publish engine counters (examined instances, dirty refreshes, heap
-  /// traffic, receiver-set churn, per-automaton step counts) into
-  /// obs::Registry::global() after the run. Also implied by the
-  /// process-wide obs::enabled() switch.
-  bool MetricsEnabled = false;
-  /// When non-null, every applied step is streamed to this sink as
-  /// structured action / delay / variable-write events. Sinks are pure
-  /// observers; attaching one never changes the run (see DESIGN.md,
-  /// "Observability").
-  obs::EventSink *Sink = nullptr;
+  /// When non-null, watches every applied step, every time advance and
+  /// the end of the run (JSONL trace, invariant checker). Null — the
+  /// default, and the only setting on the verdict path — costs one
+  /// predicted null test per notification site. Engine counters are
+  /// published separately, whenever obs::enabled() is on.
+  RunObserver *Observer = nullptr;
   /// Wall-clock budget for the whole run, in milliseconds; negative means
   /// unlimited (the default). 0 expires at the first guard check, i.e.
   /// before any step — deterministic, which the budget tests exploit. The
@@ -139,10 +173,6 @@ struct SimOptions {
   /// Cooperative cancellation: when non-null the main loop polls the token
   /// periodically and stops with StopReason::Cancelled once it fires.
   const CancelToken *Cancel = nullptr;
-  /// Online invariant checker (differential-testing harness). Null — the
-  /// default — keeps the hot path free of the checking branches, so traces
-  /// are byte-identical to a build without the harness.
-  RunChecker *Checker = nullptr;
   /// One-shot deliberate state corruption (checker self-test). Null means
   /// no fault is injected.
   FaultPlan *Fault = nullptr;
@@ -166,38 +196,10 @@ struct SimOptions {
   bool StopOnFirstMiss = false;
 };
 
-/// Why a run ended, one level more structured than the ok()/Error split:
-/// guard-rail stops (Cancelled/BudgetExceeded) mean "no verdict, through
-/// no fault of the model" and are distinct from model errors and from the
-/// action-budget livelock valve.
-enum class StopReason {
-  Completed,      ///< Quiescent or horizon reached: the trace is complete.
-  MaxActions,     ///< SimOptions::MaxActions exhausted (livelock suspicion).
-  Cancelled,      ///< SimOptions::Cancel fired.
-  BudgetExceeded, ///< SimOptions::WallClockBudgetMs elapsed.
-  ModelError,     ///< Deadlock, time-lock or invariant violation.
-  /// SimOptions::Checker reported a trace-invariant violation. Distinct
-  /// from ModelError so the differential harness can tell "the engine's
-  /// own guards tripped" from "the independent oracle caught it".
-  InvariantViolation,
-  /// SimOptions::StopOnFirstMiss fired: a watched fail slot went nonzero
-  /// and the miss instant completed. Unlike the other non-Completed stops
-  /// this is a *successful* early verdict, not an error — SimResult::Error
-  /// stays empty and ok() stays true; the trace is a faithful prefix of
-  /// the full run truncated at the first-miss instant.
-  DeadlineMiss,
-};
-
-/// Number of StopReason values — sized for taxonomy arrays (run reports,
-/// per-reason counters). Keep in step with the enum above.
-constexpr int NumStopReasons = static_cast<int>(StopReason::DeadlineMiss) + 1;
-
-/// Short stable name for a StopReason ("completed", "budget-exceeded", ...).
-const char *stopReasonName(StopReason R);
-
 struct SimResult {
   Trace Events;
   State Final;
+  /// Action steps applied (at most SimOptions::MaxActions).
   uint64_t ActionCount = 0;
   uint64_t DelayCount = 0;
   bool HorizonReached = false;
@@ -306,8 +308,6 @@ private:
   std::vector<uint64_t> StepsPerAut;
 
   void publishMetrics(const SimResult &Res) const;
-  void emitActionToSink(obs::EventSink &Sink, const Step &St,
-                        int64_t Time) const;
 };
 
 } // namespace nsa

@@ -18,7 +18,6 @@ using namespace swa::obs;
 
 namespace {
 bool EnabledFlag = false;
-thread_local int SuppressDepth = 0;
 
 /// One thread's instrument domain. The maps' *structure* is guarded by Mu
 /// so cross-thread merges can iterate safely; the owning thread's lookups
@@ -55,12 +54,8 @@ detail::ThreadSharded<Shard> &shards() {
 }
 } // namespace
 
-bool swa::obs::enabled() { return EnabledFlag && SuppressDepth == 0; }
+bool swa::obs::enabled() { return EnabledFlag; }
 void swa::obs::setEnabled(bool On) { EnabledFlag = On; }
-bool swa::obs::threadSuppressed() { return SuppressDepth > 0; }
-
-ThreadSuppressGuard::ThreadSuppressGuard() { ++SuppressDepth; }
-ThreadSuppressGuard::~ThreadSuppressGuard() { --SuppressDepth; }
 
 void Histogram::merge(const Histogram &O) {
   for (int B = 0; B < NumBuckets; ++B)
@@ -145,46 +140,19 @@ void Registry::reset() {
 
 size_t Registry::shardCount() const { return shards().shardCount(); }
 
-void swa::obs::report(std::ostream &OS, bool Json) {
+void swa::obs::report(std::ostream &OS) {
   Registry &Reg = Registry::global();
-  PhaseTree::Node Phases = PhaseTree::mergedRoot();
-  if (!Json) {
-    OS << "phases:\n";
-    PhaseTree::render(OS, Phases);
-    OS << "counters:\n";
-    for (const auto &[Name, Value] : Reg.counterValues())
-      OS << formatString("  %-36s %llu\n", Name.c_str(),
-                         static_cast<unsigned long long>(Value));
-    OS << "histograms:\n";
-    for (const auto &[Name, H] : Reg.histograms())
-      OS << formatString(
-          "  %-36s n=%llu sum=%llu min=%llu mean=%.1f max=%llu\n",
-          Name.c_str(), static_cast<unsigned long long>(H.count()),
-          static_cast<unsigned long long>(H.sum()),
-          static_cast<unsigned long long>(H.min()), H.mean(),
-          static_cast<unsigned long long>(H.max()));
-    return;
-  }
-
-  // JSON form: {"phases":[...],"counters":{...},"histograms":{...}}.
-  OS << "{\"phases\":";
-  writePhaseChildrenJson(OS, Phases);
-  OS << ",\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, Value] : Reg.counterValues()) {
-    if (!First)
-      OS << ",";
-    OS << "\"" << Name << "\":" << Value;
-    First = false;
-  }
-  OS << "},\"histograms\":{";
-  First = true;
-  for (const auto &[Name, H] : Reg.histograms()) {
-    if (!First)
-      OS << ",";
-    OS << "\"" << Name << "\":{\"n\":" << H.count() << ",\"sum\":" << H.sum()
-       << ",\"min\":" << H.min() << ",\"max\":" << H.max() << "}";
-    First = false;
-  }
-  OS << "}}\n";
+  OS << "phases:\n";
+  PhaseTree::render(OS, PhaseTree::mergedRoot());
+  OS << "counters:\n";
+  for (const auto &[Name, Value] : Reg.counterValues())
+    OS << formatString("  %-36s %llu\n", Name.c_str(),
+                       static_cast<unsigned long long>(Value));
+  OS << "histograms:\n";
+  for (const auto &[Name, H] : Reg.histograms())
+    OS << formatString("  %-36s n=%llu sum=%llu min=%llu mean=%.1f max=%llu\n",
+                       Name.c_str(), static_cast<unsigned long long>(H.count()),
+                       static_cast<unsigned long long>(H.sum()),
+                       static_cast<unsigned long long>(H.min()), H.mean(),
+                       static_cast<unsigned long long>(H.max()));
 }

@@ -12,9 +12,7 @@
 /// shards by stable instrument name into one ordered view, so the merged
 /// registry contents are a pure function of the work performed — identical
 /// for every worker count and every thread schedule. Worker threads of the
-/// parallel config search therefore publish freely; ThreadSuppressGuard
-/// remains available as an explicit opt-out, no longer a mandatory
-/// blackout.
+/// parallel config search therefore publish freely.
 ///
 /// The hot layers (simulator, model checker, config search) still
 /// accumulate into plain local integers and publish totals once per run,
@@ -54,31 +52,11 @@
 namespace swa {
 namespace obs {
 
-/// Global observability switch. Gates phase timers and the registry
-/// publication of every instrumented layer. Off by default. Returns false
-/// on threads where observability is suppressed (see ThreadSuppressGuard),
-/// regardless of the global switch.
+/// The one metrics switch: gates phase timers and the registry
+/// publication of every instrumented layer, the simulator's engine
+/// counters included. Process-wide, off by default.
 bool enabled();
 void setEnabled(bool On);
-
-/// True while a ThreadSuppressGuard is alive on this thread. Exposed so
-/// sibling layers (spans, phase timers) share the same opt-out.
-bool threadSuppressed();
-
-/// RAII thread-local observability opt-out. While alive, enabled() and
-/// spansEnabled() return false *on this thread only*: instrumented code
-/// running on the thread publishes nothing, starts no phase timers and
-/// records no spans. With the sharded registry this is no longer required
-/// for correctness anywhere — worker threads publish into their own
-/// shards — it exists for callers that want a telemetry-free region (e.g.
-/// a measurement loop that must not observe itself). Nestable.
-class ThreadSuppressGuard {
-public:
-  ThreadSuppressGuard();
-  ~ThreadSuppressGuard();
-  ThreadSuppressGuard(const ThreadSuppressGuard &) = delete;
-  ThreadSuppressGuard &operator=(const ThreadSuppressGuard &) = delete;
-};
 
 /// A monotonic event counter. Single-writer: only the thread owning the
 /// enclosing shard calls add()/reset(); value() may be read from any
@@ -195,10 +173,9 @@ public:
   size_t shardCount() const;
 };
 
-/// Dumps the merged phase tree, counters and histogram summaries. Text
-/// form is for humans; the JSON form is one object with "phases",
-/// "counters" and "histograms" keys.
-void report(std::ostream &OS, bool Json = false);
+/// Dumps the merged phase tree, counters and histogram summaries as text
+/// for humans. The machine-readable form is obs::RunReport.
+void report(std::ostream &OS);
 
 } // namespace obs
 } // namespace swa

@@ -8,7 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Timer.h"
-#include "obs/TraceSink.h"
 #include "support/StringUtils.h"
 
 #include <fstream>
@@ -16,6 +15,72 @@
 
 using namespace swa;
 using namespace swa::obs;
+
+std::string swa::obs::jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (char Ch : S) {
+    unsigned char U = static_cast<unsigned char>(Ch);
+    switch (Ch) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\b':
+      Out += "\\b";
+      break;
+    case '\f':
+      Out += "\\f";
+      break;
+    default:
+      if (U < 0x20)
+        Out += formatString("\\u%04x", U);
+      else
+        Out += Ch;
+    }
+  }
+  return Out;
+}
+
+namespace {
+/// Serializes \p Root's children as a JSON array of
+/// {"name","ns","count","children"} objects.
+void writePhaseChildrenJson(std::ostream &OS, const PhaseTree::Node &Root) {
+  struct Emit {
+    std::ostream &OS;
+    void node(const PhaseTree::Node &N, bool First) {
+      if (!First)
+        OS << ",";
+      OS << "{\"name\":\"" << N.Name << "\",\"ns\":" << N.Nanos
+         << ",\"count\":" << N.Count << ",\"children\":[";
+      bool F = true;
+      for (const auto &C : N.Children) {
+        node(*C, F);
+        F = false;
+      }
+      OS << "]}";
+    }
+  } E{OS};
+  OS << "[";
+  bool First = true;
+  for (const auto &C : Root.Children) {
+    E.node(*C, First);
+    First = false;
+  }
+  OS << "]";
+}
+} // namespace
 
 void RunReport::addCount(std::string_view Name, uint64_t Value) {
   Entry E;

@@ -39,6 +39,11 @@
 namespace swa {
 namespace obs {
 
+/// Escapes \p S for inclusion in a JSON string literal (quotes, backslash,
+/// control characters; everything else passes through). Shared by every
+/// JSON writer: run reports, the Chrome trace export and the JSONL trace.
+std::string jsonEscape(std::string_view S);
+
 class RunReport {
 public:
   static constexpr int SchemaVersion = 1;

@@ -6,9 +6,8 @@
 
 #include "obs/Span.h"
 
-#include "obs/Metrics.h"
+#include "obs/RunReport.h"
 #include "obs/ThreadSharded.h"
-#include "obs/TraceSink.h"
 #include "support/StringUtils.h"
 
 #include <ostream>
@@ -66,7 +65,7 @@ uint64_t sinceEpochNs(std::chrono::steady_clock::time_point T) {
 }
 } // namespace
 
-bool swa::obs::spansEnabled() { return SpansFlag && !threadSuppressed(); }
+bool swa::obs::spansEnabled() { return SpansFlag; }
 
 void swa::obs::setSpansEnabled(bool On) {
   if (On)

@@ -38,8 +38,8 @@
 namespace swa {
 namespace obs {
 
-/// Span recording switch. Independent of the metrics switch; false on
-/// threads where a ThreadSuppressGuard is alive.
+/// Span recording switch. Process-wide and independent of the metrics
+/// switch.
 bool spansEnabled();
 void setSpansEnabled(bool On);
 

@@ -112,29 +112,3 @@ void PhaseTree::reset() {
   Root = Node();
   Stack.assign(1, &Root);
 }
-
-void swa::obs::writePhaseChildrenJson(std::ostream &OS,
-                                      const PhaseTree::Node &Root) {
-  struct Emit {
-    std::ostream &OS;
-    void node(const PhaseTree::Node &N, bool First) {
-      if (!First)
-        OS << ",";
-      OS << "{\"name\":\"" << N.Name << "\",\"ns\":" << N.Nanos
-         << ",\"count\":" << N.Count << ",\"children\":[";
-      bool F = true;
-      for (const auto &C : N.Children) {
-        node(*C, F);
-        F = false;
-      }
-      OS << "]}";
-    }
-  } E{OS};
-  OS << "[";
-  bool First = true;
-  for (const auto &C : Root.Children) {
-    E.node(*C, First);
-    First = false;
-  }
-  OS << "]";
-}

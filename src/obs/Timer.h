@@ -104,11 +104,6 @@ private:
   std::vector<Node *> Stack{&Root};
 };
 
-/// Serializes \p Root's children as a JSON array of
-/// {"name","ns","count","children"} objects (shared by obs::report and
-/// RunReport).
-void writePhaseChildrenJson(std::ostream &OS, const PhaseTree::Node &Root);
-
 /// RAII phase timer. Inactive (and free apart from one branch) when
 /// obs::enabled() is false at construction. \p Phase must be a string
 /// literal.

@@ -44,9 +44,6 @@ struct SearchProblem {
   cfg::Config Base;
   uint64_t Seed = 1;
   int MaxIterations = 100;
-  /// Window over-provisioning range explored by the search.
-  double MinBoost = 1.1;
-  double MaxBoost = 2.5;
   /// Threads used to evaluate each candidate batch (1 = fully serial, no
   /// threads spawned). The result is byte-identical for every value: the
   /// candidate sequence is fixed by (Seed, BatchSize) alone and batch

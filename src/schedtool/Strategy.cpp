@@ -15,12 +15,18 @@
 using namespace swa;
 using namespace swa::schedtool;
 
+namespace {
+/// Window over-provisioning range the search explores.
+constexpr double MinBoost = 1.1;
+constexpr double MaxBoost = 2.5;
+} // namespace
+
 Strategy::~Strategy() = default;
 
 void Strategy::adaptAllInvalid(Rng &R, const SearchProblem &P,
                                std::vector<double> &Boost) {
   for (double &B : Boost)
-    B = P.MinBoost + R.uniformDouble() * (P.MaxBoost - P.MinBoost);
+    B = MinBoost + R.uniformDouble() * (MaxBoost - MinBoost);
 }
 
 void Strategy::saveState(std::string &Out) const { (void)Out; }
@@ -111,7 +117,7 @@ void boostFailingAndMaybeRebind(Rng &R, const SearchProblem &P,
   for (size_t Part = 0; Part < FailedPerPartition.size(); ++Part) {
     if (FailedPerPartition[Part] == 0)
       continue;
-    Boost[Part] = std::min(P.MaxBoost, Boost[Part] * 1.25);
+    Boost[Part] = std::min(MaxBoost, Boost[Part] * 1.25);
     if (Worst < 0 || FailedPerPartition[Part] >
                          FailedPerPartition[static_cast<size_t>(Worst)])
       Worst = static_cast<int>(Part);
@@ -139,7 +145,7 @@ void perturbLocal(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
   for (size_t Part = 0; Part < Boost.size(); ++Part)
     if (PJ.chance(0.4)) {
       Boost[Part] =
-          P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
+          MinBoost + PJ.uniformDouble() * (MaxBoost - MinBoost);
       M.BoostChanged.push_back(static_cast<int32_t>(Part));
     }
   if (!Config.Partitions.empty() && !Config.Cores.empty() &&
@@ -255,7 +261,7 @@ public:
       if (G < Src.size())
         V = Src[G];
       if (PJ.chance(0.15))
-        V = P.MinBoost + PJ.uniformDouble() * (P.MaxBoost - P.MinBoost);
+        V = MinBoost + PJ.uniformDouble() * (MaxBoost - MinBoost);
       if (V != Old) {
         Boost[G] = V;
         M.BoostChanged.push_back(static_cast<int32_t>(G));

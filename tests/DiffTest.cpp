@@ -29,8 +29,8 @@
 #include "gen/Adversarial.h"
 #include "gen/Workload.h"
 #include "nsa/Event.h"
+#include "nsa/JsonlSink.h"
 #include "nsa/Simulator.h"
-#include "obs/TraceSink.h"
 #include "support/Rng.h"
 #include "tests/TestConfigs.h"
 #include "xml/Xml.h"
@@ -126,7 +126,7 @@ nsa::SimResult runWithFault(const core::BuiltModel &Model,
                             difftest::TraceInvariantChecker &Checker,
                             nsa::FaultPlan *Fault) {
   nsa::SimOptions Options;
-  Options.Checker = &Checker;
+  Options.Observer = &Checker;
   Options.Fault = Fault;
   nsa::Simulator Sim(*Model.Net);
   return Sim.run(Options);
@@ -181,24 +181,29 @@ TEST(DiffFaultInjection, SkipSyncDetected) {
   ASSERT_TRUE(Model.ok());
 
   // Find the first binary sync action of the clean run, so the skip
-  // targets an action that really has a receiver to drop. RecordInternal
-  // keeps the event indices aligned with the 1-based action count. The
-  // fixture has no virtual links, so any one-receiver sync is binary
-  // (its broadcast sends have zero receivers).
+  // targets an action that really has a receiver to drop. The observer
+  // sees every applied step, internal ones included, so its count is the
+  // 1-based action count AtAction expects. The fixture has no virtual
+  // links, so any one-receiver sync is binary (its broadcast sends have
+  // zero receivers).
+  struct FirstBinarySync : nsa::RunObserver {
+    uint64_t Steps = 0;
+    uint64_t Target = 0;
+    std::string onStep(const nsa::State &, const nsa::Step &St,
+                       const std::vector<int32_t> &) override {
+      ++Steps;
+      if (Target == 0 && St.Initiator.ChanId >= 0 &&
+          St.Receivers.size() == 1)
+        Target = Steps;
+      return {};
+    }
+  } Finder;
   nsa::SimOptions Probe;
-  Probe.RecordTrace = true;
-  Probe.RecordInternal = true;
+  Probe.Observer = &Finder;
   nsa::Simulator Sim(*Model->Net);
   nsa::SimResult Clean = Sim.run(Probe);
   ASSERT_EQ(Clean.Stop, nsa::StopReason::Completed);
-  uint64_t Target = 0;
-  for (size_t I = 0; I < Clean.Events.size(); ++I) {
-    const nsa::Event &E = Clean.Events[I];
-    if (E.Channel >= 0 && E.Receivers.size() == 1) {
-      Target = I + 1; // AtAction counts are 1-based.
-      break;
-    }
-  }
+  uint64_t Target = Finder.Target;
   ASSERT_GT(Target, 0u) << "trace has no binary sync to skip";
 
   difftest::TraceInvariantChecker Checker(*Model);
@@ -269,7 +274,7 @@ TEST(DiffChecker, AttachedCheckerLeavesTraceByteIdentical) {
 
     difftest::TraceInvariantChecker Checker(*Model);
     nsa::SimOptions Checked = Plain;
-    Checked.Checker = &Checker;
+    Checked.Observer = &Checker;
     nsa::Simulator SimB(*Model->Net);
     nsa::SimResult With = SimB.run(Checked);
 
@@ -649,9 +654,9 @@ TEST(DiffTraceSink, EndRecordSealsCompletedRuns) {
       core::buildModel(testcfg::twoTasksOneCore());
   ASSERT_TRUE(Model.ok());
   std::ostringstream OS;
-  obs::JsonlSink Sink(OS);
+  nsa::JsonlSink Sink(OS);
   nsa::SimOptions Options;
-  Options.Sink = &Sink;
+  Options.Observer = &Sink;
   nsa::Simulator Sim(*Model->Net);
   nsa::SimResult Res = Sim.run(Options);
   ASSERT_EQ(Res.Stop, nsa::StopReason::Completed);
@@ -667,9 +672,9 @@ TEST(DiffTraceSink, EndRecordSealsGuardRailAborts) {
       core::buildModel(testcfg::twoTasksOneCore());
   ASSERT_TRUE(Model.ok());
   std::ostringstream OS;
-  obs::JsonlSink Sink(OS);
+  nsa::JsonlSink Sink(OS);
   nsa::SimOptions Options;
-  Options.Sink = &Sink;
+  Options.Observer = &Sink;
   Options.MaxActions = 3; // Force a mid-run abort.
   nsa::Simulator Sim(*Model->Net);
   nsa::SimResult Res = Sim.run(Options);

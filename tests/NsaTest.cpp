@@ -446,6 +446,131 @@ TEST(Simulator, RecordTraceOffSkipsEventsOnly) {
 }
 
 //===----------------------------------------------------------------------===//
+// Run observers
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Counts every hook call and checks the time bookkeeping each hook is
+/// promised: steps happen at the current time, a delay starts where the
+/// previous one ended and moves time forward, the end sees the last time.
+struct CountingObserver : RunObserver {
+  int Starts = 0;
+  int Ends = 0;
+  uint64_t Steps = 0;
+  uint64_t Delays = 0;
+  int64_t Now = -1;
+  bool TimeConsistent = true;
+  StopReason EndStop = StopReason::Completed;
+  /// Returned from onRunEnd (empty: no violation).
+  std::string EndViolation;
+
+  void onRunStart(const Network &, const State &Initial) override {
+    ++Starts;
+    Now = Initial.Now;
+  }
+  std::string onStep(const State &Post, const Step &,
+                     const std::vector<int32_t> &) override {
+    ++Steps;
+    TimeConsistent = TimeConsistent && Post.Now == Now;
+    return {};
+  }
+  std::string onDelay(int64_t From, const State &Post) override {
+    ++Delays;
+    TimeConsistent = TimeConsistent && From == Now && Post.Now > From;
+    Now = Post.Now;
+    return {};
+  }
+  std::string onRunEnd(const State &Final, StopReason Stop,
+                       const std::string &) override {
+    ++Ends;
+    EndStop = Stop;
+    TimeConsistent = TimeConsistent && Final.Now == Now;
+    return EndViolation;
+  }
+};
+
+SimResult runObserved(Simulator &Sim, CountingObserver &Obs,
+                      SimOptions Opt = {}) {
+  Opt.Observer = &Obs;
+  return Sim.run(Opt);
+}
+} // namespace
+
+TEST(RunObserver, HooksFireOncePerStepAdvanceAndRun) {
+  // Horizon 95 falls between ticks: nine ticks, nine wake-up delays, and
+  // one last advance from 90 to the horizon that DelayCount leaves out.
+  auto Net = buildTicker(10, 95);
+  ASSERT_TRUE(Net.ok()) << Net.error().message();
+  Simulator Sim(**Net);
+  CountingObserver Obs;
+  SimResult R = runObserved(Sim, Obs);
+  ASSERT_EQ(R.Stop, StopReason::Completed) << R.Error;
+  EXPECT_EQ(R.ActionCount, 9u);
+  EXPECT_EQ(Obs.Starts, 1);
+  EXPECT_EQ(Obs.Steps, R.ActionCount);
+  EXPECT_EQ(Obs.Delays, R.DelayCount + 1);
+  EXPECT_EQ(Obs.Now, 95);
+  EXPECT_EQ(Obs.Ends, 1);
+  EXPECT_EQ(Obs.EndStop, StopReason::Completed);
+  EXPECT_TRUE(Obs.TimeConsistent);
+
+  // A horizon on a tick: the last advance moves no time and is not
+  // reported.
+  auto OnTick = buildTicker(10, 100);
+  ASSERT_TRUE(OnTick.ok()) << OnTick.error().message();
+  Simulator TickSim(**OnTick);
+  CountingObserver TickObs;
+  R = runObserved(TickSim, TickObs);
+  ASSERT_EQ(R.Stop, StopReason::Completed) << R.Error;
+  EXPECT_EQ(TickObs.Steps, R.ActionCount);
+  EXPECT_EQ(TickObs.Delays, R.DelayCount);
+  EXPECT_TRUE(TickObs.TimeConsistent);
+}
+
+TEST(RunObserver, RunEndFiresOnceOnEveryStop) {
+  auto Net = buildTicker(10, 95);
+  ASSERT_TRUE(Net.ok()) << Net.error().message();
+  Simulator Sim(**Net);
+
+  // Action budget: exactly MaxActions steps are applied and counted.
+  CountingObserver Capped;
+  SimOptions Opt;
+  Opt.MaxActions = 4;
+  SimResult R = runObserved(Sim, Capped, Opt);
+  ASSERT_EQ(R.Stop, StopReason::MaxActions);
+  EXPECT_EQ(R.ActionCount, 4u);
+  EXPECT_EQ(Capped.Steps, R.ActionCount);
+  EXPECT_EQ(Capped.Delays, R.DelayCount);
+  EXPECT_EQ(Capped.Ends, 1);
+  EXPECT_EQ(Capped.EndStop, StopReason::MaxActions);
+  EXPECT_TRUE(Capped.TimeConsistent);
+
+  // A zero wall-clock budget expires at the first guard check, before any
+  // step.
+  CountingObserver Budget;
+  Opt = {};
+  Opt.WallClockBudgetMs = 0;
+  R = runObserved(Sim, Budget, Opt);
+  ASSERT_EQ(R.Stop, StopReason::BudgetExceeded);
+  EXPECT_EQ(Budget.Starts, 1);
+  EXPECT_EQ(Budget.Steps, R.ActionCount);
+  EXPECT_EQ(Budget.Steps, 0u);
+  EXPECT_EQ(Budget.Delays, 0u);
+  EXPECT_EQ(Budget.Ends, 1);
+  EXPECT_EQ(Budget.EndStop, StopReason::BudgetExceeded);
+
+  // A violation reported at run end turns a completed run into an
+  // invariant violation.
+  CountingObserver Objecting;
+  Objecting.EndViolation = "final state rejected";
+  R = runObserved(Sim, Objecting);
+  EXPECT_EQ(Objecting.EndStop, StopReason::Completed);
+  EXPECT_EQ(R.Stop, StopReason::InvariantViolation);
+  EXPECT_NE(R.Error.find("final state rejected"), std::string::npos)
+      << R.Error;
+}
+
+//===----------------------------------------------------------------------===//
 // Stopwatch encoding
 //===----------------------------------------------------------------------===//
 

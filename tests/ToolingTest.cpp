@@ -18,6 +18,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include <sys/wait.h>
+
 using namespace swa;
 
 //===----------------------------------------------------------------------===//
@@ -194,6 +199,48 @@ TEST(Stats, RenderAndCsv) {
   // lo runs [2,10) and [12,19): both intervals listed.
   EXPECT_NE(Csv.find("2-10 12-19"), std::string::npos);
 }
+
+//===----------------------------------------------------------------------===//
+// Example CLIs (build-time binary paths)
+//===----------------------------------------------------------------------===//
+
+/// Runs \p Bin with each of \p Cases and expects a usage error: exit 1
+/// with nothing on stdout, so no bad number silently becomes a default, a
+/// prefix or a huge run.
+void expectUsageErrors(const char *Bin,
+                       std::initializer_list<const char *> Cases) {
+  for (const char *Args : Cases) {
+    std::string Cmd = std::string(Bin) + " " + Args + " 2>/dev/null";
+    FILE *P = popen(Cmd.c_str(), "r");
+    ASSERT_NE(P, nullptr) << Args;
+    std::string Out;
+    char Buf[256];
+    while (size_t N = fread(Buf, 1, sizeof Buf, P))
+      Out.append(Buf, N);
+    int Status = pclose(P);
+    ASSERT_TRUE(WIFEXITED(Status)) << Args;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Args;
+    EXPECT_EQ(Out, "") << Args;
+  }
+}
+
+#ifdef SWA_VERIFY_COMPONENTS_BIN
+TEST(VerifyComponentsCli, RejectsMalformedNumbers) {
+  expectUsageErrors(SWA_VERIFY_COMPONENTS_BIN,
+                    {"abc", "5x", "0", "-1", "+5", "21",
+                     "99999999999999999999", "5 6"});
+}
+#endif // SWA_VERIFY_COMPONENTS_BIN
+
+#ifdef SWA_PROFILE_RUN_BIN
+TEST(ProfileRunCli, RejectsMalformedNumbers) {
+  expectUsageErrors(SWA_PROFILE_RUN_BIN,
+                    {"--jobs abc", "--jobs 2OO", "--jobs 0", "--jobs -1",
+                     "--jobs 1e3", "--jobs 1000001",
+                     "--jobs 99999999999999999999", "--jobs", "--json",
+                     "--jbos 10"});
+}
+#endif // SWA_PROFILE_RUN_BIN
 
 int main(int argc, char **argv) {
   ::testing::InitGoogleTest(&argc, argv);
