@@ -6,7 +6,7 @@
 
 #include "config/Decompose.h"
 
-#include "support/MathExtras.h"
+#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <limits>
@@ -50,17 +50,37 @@ bool truncateWindows(Partition &P, int64_t LSub, int64_t LGlobal) {
   return true;
 }
 
-/// Numbers components by first appearance scanning partitions by index
-/// and fills CompOfPart/CompOfCore. Assumes every partition is bound
-/// (checked by the callers before any unite).
-void numberComponents(const Config &Config, support::UnionFind &UF,
-                      ComponentStructure &S) {
+/// The core-level component structure of one bound config: which
+/// component each partition and each used core belongs to, numbered by
+/// first appearance scanning partitions by index.
+struct ComponentStructure {
+  /// False when a partition is unbound/dangling or a message dangles.
+  bool Valid = false;
+  int32_t NumComps = 0;
+  std::vector<int32_t> CompOfPart; // one entry per partition
+  std::vector<int32_t> CompOfCore; // one entry per core; -1 = unused
+};
+
+ComponentStructure componentStructure(const Config &Config) {
+  ComponentStructure S;
   const size_t NP = Config.Partitions.size();
   const size_t NC = Config.Cores.size();
+  for (const Partition &P : Config.Partitions)
+    if (P.Core < 0 || static_cast<size_t>(P.Core) >= NC)
+      return S; // unbound partition
+  support::UnionFind UF(NC);
+  for (const Message &M : Config.Messages) {
+    if (M.Sender.Partition < 0 ||
+        static_cast<size_t>(M.Sender.Partition) >= NP ||
+        M.Receiver.Partition < 0 ||
+        static_cast<size_t>(M.Receiver.Partition) >= NP)
+      return S; // dangling message ref: leave it to validate()
+    UF.unite(Config.Partitions[static_cast<size_t>(M.Sender.Partition)].Core,
+             Config.Partitions[static_cast<size_t>(M.Receiver.Partition)].Core);
+  }
   S.CompOfPart.assign(NP, -1);
   S.CompOfCore.assign(NC, -1);
   std::vector<int32_t> CompOfRoot(NC, -1);
-  S.NumComps = 0;
   for (size_t P = 0; P < NP; ++P) {
     int32_t Core = Config.Partitions[P].Core;
     int32_t R = UF.find(Core);
@@ -70,94 +90,16 @@ void numberComponents(const Config &Config, support::UnionFind &UF,
     S.CompOfCore[static_cast<size_t>(Core)] = S.CompOfPart[P];
   }
   S.Valid = true;
-}
-
-bool allPartitionsBound(const Config &Config) {
-  const size_t NC = Config.Cores.size();
-  for (const Partition &P : Config.Partitions)
-    if (P.Core < 0 || static_cast<size_t>(P.Core) >= NC)
-      return false;
-  return true;
-}
-
-} // namespace
-
-MessageGroups cfg::messageGroups(const Config &Config) {
-  MessageGroups G;
-  const size_t NP = Config.Partitions.size();
-  support::UnionFind UF(NP);
-  for (const Message &M : Config.Messages) {
-    if (M.Sender.Partition < 0 ||
-        static_cast<size_t>(M.Sender.Partition) >= NP ||
-        M.Receiver.Partition < 0 ||
-        static_cast<size_t>(M.Receiver.Partition) >= NP)
-      return G; // dangling message ref: leave it to validate()
-    UF.unite(M.Sender.Partition, M.Receiver.Partition);
-  }
-  G.GroupOfPart.assign(NP, -1);
-  std::vector<int32_t> GroupOfRoot(NP, -1);
-  for (size_t P = 0; P < NP; ++P) {
-    int32_t R = UF.find(static_cast<int32_t>(P));
-    if (GroupOfRoot[static_cast<size_t>(R)] < 0)
-      GroupOfRoot[static_cast<size_t>(R)] = G.NumGroups++;
-    G.GroupOfPart[P] = GroupOfRoot[static_cast<size_t>(R)];
-  }
-  G.Valid = true;
-  return G;
-}
-
-ComponentStructure cfg::componentStructure(const Config &Config,
-                                           support::UnionFind &UF) {
-  ComponentStructure S;
-  const size_t NP = Config.Partitions.size();
-  const size_t NC = Config.Cores.size();
-  if (NP == 0 || NC == 0 || UF.size() != NC || !allPartitionsBound(Config))
-    return S;
-  UF.reset();
-  for (const Message &M : Config.Messages) {
-    if (M.Sender.Partition < 0 ||
-        static_cast<size_t>(M.Sender.Partition) >= NP ||
-        M.Receiver.Partition < 0 ||
-        static_cast<size_t>(M.Receiver.Partition) >= NP)
-      return S; // dangling message ref
-    UF.unite(Config.Partitions[static_cast<size_t>(M.Sender.Partition)].Core,
-             Config.Partitions[static_cast<size_t>(M.Receiver.Partition)].Core);
-  }
-  numberComponents(Config, UF, S);
   return S;
 }
 
-ComponentStructure
-cfg::componentStructureFromGroups(const Config &Config,
-                                  const MessageGroups &G,
-                                  support::UnionFind &UF) {
-  ComponentStructure S;
-  const size_t NP = Config.Partitions.size();
-  const size_t NC = Config.Cores.size();
-  if (NP == 0 || NC == 0 || !G.Valid || G.GroupOfPart.size() != NP ||
-      UF.size() != NC || !allPartitionsBound(Config))
-    return S;
-  UF.reset();
-  // One unite per partition: cores sharing a partition group are one
-  // component. Transitivity through the group representative reproduces
-  // exactly the message-edge unions of componentStructure().
-  std::vector<int32_t> FirstCoreOfGroup(static_cast<size_t>(G.NumGroups), -1);
-  for (size_t P = 0; P < NP; ++P) {
-    int32_t Core = Config.Partitions[P].Core;
-    int32_t &First =
-        FirstCoreOfGroup[static_cast<size_t>(G.GroupOfPart[P])];
-    if (First < 0)
-      First = Core;
-    else
-      UF.unite(First, Core);
-  }
-  numberComponents(Config, UF, S);
-  return S;
-}
-
-bool cfg::materializeComponent(const Config &Config,
-                               const ComponentStructure &S, int32_t Comp,
-                               int64_t LGlobal, Component &Out) {
+/// Materializes component \p Comp of \p Config (per structure \p S) as a
+/// standalone sub-config, truncating windows to the component
+/// hyperperiod. Returns false when the component's window pattern is not
+/// LSub-periodic or its hyperperiod does not divide \p LGlobal — the
+/// whole decomposition must then be declined.
+bool materializeComponent(const Config &Config, const ComponentStructure &S,
+                          int32_t Comp, int64_t LGlobal, Component &Out) {
   Out.Sub = swa::cfg::Config();
   Out.GidMap.clear();
   const size_t NP = Config.Partitions.size();
@@ -206,14 +148,11 @@ bool cfg::materializeComponent(const Config &Config,
   return true;
 }
 
+} // namespace
+
 Decomposition cfg::decomposeConfig(const Config &Config) {
   Decomposition Out;
-  const size_t NC = Config.Cores.size();
-  if (Config.Partitions.empty() || NC == 0)
-    return Out;
-
-  support::UnionFind UF(NC);
-  ComponentStructure S = componentStructure(Config, UF);
+  ComponentStructure S = componentStructure(Config);
   if (!S.Valid || S.NumComps < 2)
     return Out;
 
@@ -228,6 +167,7 @@ Decomposition cfg::decomposeConfig(const Config &Config) {
       return Decomposition{};
 
   Out.Decomposed = true;
+  Out.CompOfCore = std::move(S.CompOfCore);
   Out.Horizon = LGlobal;
   return Out;
 }

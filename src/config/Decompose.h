@@ -39,7 +39,6 @@
 #define SWA_CONFIG_DECOMPOSE_H
 
 #include "config/Config.h"
-#include "support/UnionFind.h"
 
 #include <cstdint>
 #include <vector>
@@ -61,61 +60,17 @@ struct Decomposition {
   /// windows are not sub-hyperperiod-periodic. Components is then empty
   /// and the caller evaluates the original config monolithically.
   bool Decomposed = false;
+  /// Numbered by first appearance scanning partitions by index, so the
+  /// order is canonical for a given binding.
   std::vector<Component> Components;
+  /// CompOfCore[core] = index into Components of the component holding
+  /// that core; -1 for a core no partition is bound to. Empty when not
+  /// Decomposed.
+  std::vector<int32_t> CompOfCore;
   /// The original config's hyperperiod: simulate every component with
   /// SimOptions::Horizon set to this.
   int64_t Horizon = 0;
 };
-
-/// Binding-independent connectivity: groups of partitions connected by
-/// messages. The incremental search computes this once per search —
-/// mutations move bindings and windows, never messages — and derives each
-/// candidate's core-level components from it without rescanning messages.
-struct MessageGroups {
-  /// False when a message references a partition out of range; the config
-  /// is then not decomposable (leave the error to validate()).
-  bool Valid = false;
-  int32_t NumGroups = 0;
-  /// GroupOfPart[partition] = group id, numbered by first appearance
-  /// scanning partitions by index.
-  std::vector<int32_t> GroupOfPart;
-};
-
-MessageGroups messageGroups(const Config &Config);
-
-/// The core-level component structure of one bound config: which
-/// component each partition and each used core belongs to. Components are
-/// numbered by first appearance scanning partitions by index, so the
-/// numbering is canonical regardless of how the union-find arrived at it.
-struct ComponentStructure {
-  /// False when a partition is unbound/dangling or a message dangles.
-  bool Valid = false;
-  int32_t NumComps = 0;
-  std::vector<int32_t> CompOfPart; // one entry per partition
-  std::vector<int32_t> CompOfCore; // one entry per core; -1 = unused
-};
-
-/// Computes the component structure of \p Config from scratch, using
-/// \p UF as reusable scratch space (it is reset; it must have
-/// Config.Cores.size() slots).
-ComponentStructure componentStructure(const Config &Config,
-                                      support::UnionFind &UF);
-
-/// Derives the component structure from precomputed partition groups and
-/// the candidate's bindings — one union per partition, no message scan.
-/// Equivalent to componentStructure() for any config whose message graph
-/// matches the one \p G was computed from.
-ComponentStructure componentStructureFromGroups(const Config &Config,
-                                                const MessageGroups &G,
-                                                support::UnionFind &UF);
-
-/// Materializes component \p Comp of \p Config (per structure \p S) as a
-/// standalone sub-config, truncating windows to the component
-/// hyperperiod. Returns false when the component's window pattern is not
-/// LSub-periodic or its hyperperiod does not divide \p LGlobal — the
-/// whole decomposition must then be declined.
-bool materializeComponent(const Config &Config, const ComponentStructure &S,
-                          int32_t Comp, int64_t LGlobal, Component &Out);
 
 /// Decomposes \p Config along the inter-core message graph. Never fails:
 /// an undecomposable config simply returns Decomposed == false.

@@ -19,13 +19,10 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
-#include "support/UnionFind.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 
@@ -132,7 +129,7 @@ namespace {
 // exactly the config fingerprint (cfg::fingerprintComponent) — and every
 // round runs the same five stages:
 //
-//   plan       derive each candidate's components from its mutation delta
+//   plan       split each candidate with cfg::decomposeConfig
 //   lookup     resolve components against the one verdict cache and
 //              deduplicate the misses into the round's simulation list
 //   simulate   run the list (early exit, one model arena per pool thread)
@@ -145,9 +142,9 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// One candidate of a round: a concrete binding + window layout, the boost
-/// vector that produced it, and the mutation delta that derived it from
-/// candidate 0 (recorded by Strategy::perturb without touching the RNG
-/// call sequence).
+/// vector that produced it, and the move that derived it from candidate 0
+/// as Strategy::perturb recorded it (read only to count dirty and clean
+/// components).
 struct Candidate {
   cfg::Config Config;
   std::vector<double> Boost;
@@ -165,7 +162,7 @@ struct Eval {
 };
 
 /// One component of a candidate. Sub and GidMap point into round-stable
-/// storage: the candidate itself, its Owned list, or the round base.
+/// storage: the candidate itself or its plan's decomposition.
 struct PlannedComp {
   const cfg::Config *Sub = nullptr;
   /// Component-to-candidate gid map; null for the whole-config component.
@@ -182,8 +179,10 @@ struct PlannedComp {
 /// A candidate's component list and how the lookup stage classified it.
 struct CandPlan {
   std::vector<PlannedComp> Comps;
-  /// Components a mutation dirtied (deque: pointers survive growth).
-  std::deque<cfg::Component> Owned;
+  /// The candidate's message-graph split; not Decomposed when the
+  /// candidate is its own single component.
+  cfg::Decomposition D;
+  /// Components holding a core the recorded move touched, and the rest.
   int Dirty = 0, Clean = 0;
   /// Earlier candidate of the batch with the identical key list, whose
   /// verdict this one copies; -1 = none.
@@ -202,17 +201,6 @@ struct Sim {
   int FirstCand = -1;
 };
 
-/// The round base: candidate 0's component structure, materialized
-/// components and their keys. Candidate 0 carries the round's shared
-/// binding, so every candidate's clean components reuse these outright.
-struct BaseRound {
-  bool Ready = false;
-  cfg::ComponentStructure S;
-  std::vector<cfg::Component> Comps;
-  std::vector<char> Ok;
-  std::vector<cfg::Fingerprint> Canon, Raw;
-};
-
 /// One round's evaluation statistics, added into the SearchResult (and
 /// the obs counters) when the round is flushed.
 struct RoundStats {
@@ -226,7 +214,6 @@ struct RoundWork {
   int Index = 0;
   std::vector<Candidate> Cands;
   std::vector<CandPlan> Plans;
-  BaseRound Base;
   std::vector<Sim> Sims;
   std::unordered_map<cfg::Fingerprint, int, cfg::FingerprintHash> SimOf;
   std::vector<Eval> SimEvals;
@@ -237,7 +224,6 @@ struct RoundWork {
     Index = Round;
     Cands.assign(static_cast<size_t>(N), Candidate());
     Plans.assign(static_cast<size_t>(N), CandPlan());
-    Base = BaseRound();
     Sims.clear();
     SimOf.clear();
     SimEvals.clear();
@@ -290,10 +276,7 @@ void bump(obs::Counter *C, int V) {
 /// Search-lifetime state the stages share.
 struct SearchContext {
   SearchContext(const SearchProblem &P, const cfg::Config &Bound)
-      : Problem(P), L(Bound.hyperperiod()),
-        Decomposable(L > 0 && L != std::numeric_limits<int64_t>::max()),
-        MsgGroups(cfg::messageGroups(Bound)), UF(Bound.Cores.size()),
-        Pool(std::max(1, P.Workers)),
+      : Problem(P), L(Bound.hyperperiod()), Pool(std::max(1, P.Workers)),
         Arenas(static_cast<size_t>(Pool.threadCount())) {
     // Guard rails, first-miss early exit, and the global horizon: a
     // component carries its own (smaller) hyperperiod but is simulated to
@@ -310,12 +293,6 @@ struct SearchContext {
   /// Candidate badness and every component horizon derive from L, which
   /// depends only on the task periods — no search move touches them.
   const int64_t L;
-  const bool Decomposable;
-  /// Message groups depend only on the message topology, which no search
-  /// move touches: computed once, and each candidate's union-find runs
-  /// over the grouped edges (one unite per partition) against UF.
-  const cfg::MessageGroups MsgGroups;
-  support::UnionFind UF;
   ThreadPool Pool;
   /// One model arena per pool slot. Verdicts are arena-independent
   /// (ModelArena.h), so which slot runs which simulation — a timing fact
@@ -374,124 +351,53 @@ void generateRound(const SearchProblem &Problem, Strategy &Strat,
   }
 }
 
-void ensureBase(SearchContext &Ctx, RoundWork &W) {
-  BaseRound &B = W.Base;
-  if (B.Ready)
-    return;
-  B.Ready = true;
-  B.S = cfg::componentStructureFromGroups(W.Cands[0].Config, Ctx.MsgGroups,
-                                          Ctx.UF);
-  if (!B.S.Valid || B.S.NumComps < 2)
-    return;
-  size_t NK = static_cast<size_t>(B.S.NumComps);
-  B.Comps.assign(NK, cfg::Component());
-  B.Ok.assign(NK, 0);
-  B.Canon.assign(NK, {});
-  B.Raw.assign(NK, {});
-  for (size_t K = 0; K < NK; ++K) {
-    if (!cfg::materializeComponent(W.Cands[0].Config, B.S,
-                                   static_cast<int32_t>(K), Ctx.L, B.Comps[K]))
-      continue;
-    B.Ok[K] = 1;
-    B.Canon[K] = cfg::fingerprintComponent(B.Comps[K].Sub, Ctx.L);
-    B.Raw[K] = cfg::fingerprintComponent(B.Comps[K].Sub, Ctx.L,
-                                         /*CanonicalizeCores=*/false);
-  }
-}
-
-/// Splits candidate J into its message-graph components, deriving the
-/// structure from the mutation delta: only components containing a
-/// mutated core are re-materialized; clean ones reuse the round base's
-/// sub-configs and keys. Returns false when the candidate does not
-/// decompose — the same condition cfg::decomposeConfig reports, because
-/// the mutated-core set is conservative: a boost resample only moves
-/// window shares on the resampled partition's core, and a rebind changes
-/// membership of exactly the components containing its endpoint cores
-/// (the rebound partition's message group follows it). Any component with
-/// no mutated core is therefore byte-identical to its base counterpart
-/// (matched through CompOfCore, which the rebind cannot have touched for
-/// clean cores) — including materialization failure, so declining when
-/// the base counterpart failed is exact parity.
-bool planComponents(SearchContext &Ctx, RoundWork &W, int J) {
-  ensureBase(Ctx, W);
-  const BaseRound &Base = W.Base;
-  const Candidate &C = W.Cands[static_cast<size_t>(J)];
-  const Mutation &DJ = C.Delta;
-  CandPlan &Plan = W.Plans[static_cast<size_t>(J)];
-  const cfg::ComponentStructure *S = &Base.S;
-  cfg::ComponentStructure LocalS;
-  if (DJ.RebindPart >= 0) {
-    LocalS = cfg::componentStructureFromGroups(C.Config, Ctx.MsgGroups, Ctx.UF);
-    S = &LocalS;
-  }
-  if (!S->Valid || S->NumComps < 2)
-    return false;
-
-  std::vector<char> DirtyCore(C.Config.Cores.size(), 0);
-  for (int32_t P : DJ.BoostChanged)
-    DirtyCore[static_cast<size_t>(
-        C.Config.Partitions[static_cast<size_t>(P)].Core)] = 1;
-  if (DJ.RebindPart >= 0) {
-    DirtyCore[static_cast<size_t>(DJ.OldCore)] = 1;
-    DirtyCore[static_cast<size_t>(DJ.NewCore)] = 1;
-  }
-
-  size_t NK = static_cast<size_t>(S->NumComps);
-  std::vector<char> CompDirty(NK, 0);
-  std::vector<int32_t> RepCore(NK, -1);
-  for (size_t Core = 0; Core < S->CompOfCore.size(); ++Core) {
-    int32_t K = S->CompOfCore[Core];
-    if (K < 0)
-      continue;
-    if (RepCore[static_cast<size_t>(K)] < 0)
-      RepCore[static_cast<size_t>(K)] = static_cast<int32_t>(Core);
-    if (DirtyCore[Core])
-      CompDirty[static_cast<size_t>(K)] = 1;
-  }
-
-  Plan.Comps.assign(NK, PlannedComp());
-  for (size_t K = 0; K < NK; ++K) {
-    PlannedComp &PC = Plan.Comps[K];
-    if (!CompDirty[K]) {
-      int32_t B = Base.S.CompOfCore[static_cast<size_t>(RepCore[K])];
-      if (B < 0 || static_cast<size_t>(B) >= Base.Ok.size() ||
-          !Base.Ok[static_cast<size_t>(B)])
-        return false;
-      size_t BK = static_cast<size_t>(B);
-      PC.Sub = &Base.Comps[BK].Sub;
-      PC.GidMap = &Base.Comps[BK].GidMap;
-      PC.Canon = Base.Canon[BK];
-      PC.Raw = Base.Raw[BK];
-      ++Plan.Clean;
-      continue;
-    }
-    Plan.Owned.emplace_back();
-    if (!cfg::materializeComponent(C.Config, *S, static_cast<int32_t>(K),
-                                   Ctx.L, Plan.Owned.back()))
-      return false; // window pattern not sub-periodic: decline whole
-    PC.Sub = &Plan.Owned.back().Sub;
-    PC.GidMap = &Plan.Owned.back().GidMap;
-    PC.Canon = cfg::fingerprintComponent(*PC.Sub, Ctx.L);
-    PC.Raw = cfg::fingerprintComponent(*PC.Sub, Ctx.L,
-                                       /*CanonicalizeCores=*/false);
-    ++Plan.Dirty;
-  }
-  return true;
-}
-
-/// Plan: candidate J's component list — its message-graph components, or
-/// the whole config as the single component when it does not decompose.
+/// Plan: candidate J's component list — its message-graph components from
+/// one cfg::decomposeConfig call, or the whole config as the single
+/// component when it does not decompose. The move the strategy recorded
+/// only sorts a decomposed candidate's components into dirty (holding a
+/// core the move touched) and clean for the statistics; every component
+/// is planned the same way, so a wrong record cannot change a verdict.
 void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
-  if (Ctx.Decomposable && planComponents(Ctx, W, J))
-    return;
-  const cfg::Config &Whole = W.Cands[static_cast<size_t>(J)].Config;
+  const Candidate &C = W.Cands[static_cast<size_t>(J)];
   CandPlan &Plan = W.Plans[static_cast<size_t>(J)];
-  Plan = CandPlan();
-  Plan.Comps.resize(1);
-  Plan.Comps[0].Sub = &Whole;
-  Plan.Comps[0].Canon = cfg::fingerprintComponent(Whole, Ctx.L);
-  Plan.Comps[0].Raw =
-      cfg::fingerprintComponent(Whole, Ctx.L, /*CanonicalizeCores=*/false);
+  Plan.D = cfg::decomposeConfig(C.Config);
+  if (!Plan.D.Decomposed) {
+    Plan.Comps.resize(1);
+    Plan.Comps[0].Sub = &C.Config;
+    Plan.Comps[0].Canon = cfg::fingerprintComponent(C.Config, Ctx.L);
+    Plan.Comps[0].Raw = cfg::fingerprintComponent(C.Config, Ctx.L,
+                                                  /*CanonicalizeCores=*/false);
+    return;
+  }
+
+  const std::vector<int32_t> &CompOfCore = Plan.D.CompOfCore;
+  std::vector<char> CompDirty(Plan.D.Components.size(), 0);
+  auto Touch = [&](int32_t Core) {
+    if (Core < 0 || static_cast<size_t>(Core) >= CompOfCore.size())
+      return;
+    int32_t K = CompOfCore[static_cast<size_t>(Core)];
+    if (K >= 0)
+      CompDirty[static_cast<size_t>(K)] = 1;
+  };
+  for (int32_t P : C.Delta.BoostChanged)
+    if (P >= 0 && static_cast<size_t>(P) < C.Config.Partitions.size())
+      Touch(C.Config.Partitions[static_cast<size_t>(P)].Core);
+  if (C.Delta.RebindPart >= 0) {
+    Touch(C.Delta.OldCore);
+    Touch(C.Delta.NewCore);
+  }
+
+  Plan.Comps.resize(Plan.D.Components.size());
+  for (size_t K = 0; K < Plan.Comps.size(); ++K) {
+    const cfg::Component &Comp = Plan.D.Components[K];
+    PlannedComp &PC = Plan.Comps[K];
+    PC.Sub = &Comp.Sub;
+    PC.GidMap = &Comp.GidMap;
+    PC.Canon = cfg::fingerprintComponent(Comp.Sub, Ctx.L);
+    PC.Raw = cfg::fingerprintComponent(Comp.Sub, Ctx.L,
+                                       /*CanonicalizeCores=*/false);
+    ++(CompDirty[K] ? Plan.Dirty : Plan.Clean);
+  }
 }
 
 bool sameKeys(const CandPlan &A, const CandPlan &B) {
@@ -875,6 +781,18 @@ Result<SearchResult>
 swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   obs::ScopedTimer Timer("schedtool.search");
   SearchResult Res;
+
+  // The search chooses every binding and window itself, so Base is checked
+  // with those cleared; everything else must already be valid — first-fit
+  // binding reads each task's WCETs, and an invalid task would fail every
+  // candidate's validation until the iterations ran out.
+  cfg::Config Shape = Problem.Base;
+  for (cfg::Partition &P : Shape.Partitions) {
+    P.Core = -1;
+    P.Windows.clear();
+  }
+  if (Error E = Shape.validate(cfg::ValidationPolicy::AllowUnbound))
+    return E.withContext("search base");
 
   // The metaheuristic: explicit (--strategy) or the built-in local
   // search, which reproduces the historical loop draw for draw.

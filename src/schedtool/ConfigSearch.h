@@ -147,9 +147,10 @@ struct SearchResult {
   /// Non-duplicate candidates that split into two or more components.
   /// The component statistics below count only their components: cache
   /// hits and misses (Hits + Misses is their total component count), and
-  /// the components re-materialized because a mutation touched one of
-  /// their cores (Dirty) or reused verbatim from the round's base
-  /// decomposition (Clean); Hits + Misses == Dirty + Clean.
+  /// the components holding a core the strategy's recorded move touched
+  /// (Dirty) or not (Clean); Hits + Misses == Dirty + Clean. Every
+  /// component is planned the same way: Dirty/Clean only describe the
+  /// move (schedtool::Mutation).
   int DecomposedCandidates = 0;
   int ComponentCacheHits = 0;
   int ComponentCacheMisses = 0;

@@ -48,13 +48,15 @@ namespace schedtool {
 
 struct SearchProblem;
 
-/// The mutation delta a perturbation applied to the round's base
-/// (candidate 0): which partitions' boosts were resampled, and the
-/// endpoints of the rebind (RebindPart < 0 when none, or when the rebind
-/// drew the partition's current core — a no-op). A Strategy MUST record
-/// every change it makes here: incremental dirty tracking derives the
-/// re-simulated component set from this delta, and an unrecorded change
-/// would silently reuse a stale component verdict.
+/// The move a perturbation applied to the round's base (candidate 0):
+/// which partitions' boosts were resampled, and the endpoints of the
+/// rebind (RebindPart < 0 when none, or when the rebind drew the
+/// partition's current core — a no-op). The record feeds only the search
+/// statistics: a decomposed candidate's components holding a core named
+/// here count as dirty, the rest as clean (SearchResult::DirtyComponents,
+/// CleanComponentsReused). Every candidate is planned from its own
+/// config, so a missing or wrong record miscounts those statistics and
+/// cannot change a verdict.
 struct Mutation {
   std::vector<int32_t> BoostChanged;
   int32_t RebindPart = -1;
@@ -87,8 +89,9 @@ public:
   virtual const char *name() const = 0;
 
   /// Derives candidate J of a round in place. Config/Boost arrive as
-  /// copies of the incumbent; PJ is the candidate's private RNG. Every
-  /// boost resample and rebind must be recorded in M (see Mutation).
+  /// copies of the incumbent; PJ is the candidate's private RNG. Boost
+  /// resamples and rebinds are recorded in M for the statistics (see
+  /// Mutation).
   virtual void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
                        std::vector<double> &Boost, Mutation &M) = 0;
 

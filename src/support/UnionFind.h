@@ -28,16 +28,6 @@ public:
     std::iota(Parent.begin(), Parent.end(), 0);
   }
 
-  /// Returns every element to its own singleton set, keeping the
-  /// allocation. Lets the config search reuse one instance across
-  /// thousands of candidate decompositions instead of reallocating.
-  void reset() {
-    std::iota(Parent.begin(), Parent.end(), 0);
-    std::fill(Size.begin(), Size.end(), 1);
-  }
-
-  size_t size() const { return Parent.size(); }
-
   int32_t find(int32_t X) {
     while (Parent[static_cast<size_t>(X)] != X) {
       Parent[static_cast<size_t>(X)] =

@@ -593,8 +593,8 @@ namespace {
 /// window inside [0, 500) — unschedulable for *every* candidate the
 /// search can produce, while still passing the first-fit capacity check
 /// (per-core utilization is exactly 1.0). Message-free across cores, so
-/// candidates decompose and the incremental layers (component cache,
-/// dirty tracking, instance reuse — all default-on) carry the rounds.
+/// candidates decompose and the component cache and instance reuse (both
+/// default-on) carry the rounds.
 cfg::Config unwinnableDecoupledProblem() {
   cfg::Config C = testcfg::twoTasksOneCore();
   C.Cores.push_back(C.Cores[0]);

@@ -7,7 +7,12 @@
 #include "analysis/Analyzer.h"
 #include "gen/Workload.h"
 #include "schedtool/ConfigSearch.h"
+#include "schedtool/Snapshot.h"
+#include "schedtool/Strategy.h"
+#include "support/Crc32.h"
 #include "tests/TestConfigs.h"
+
+#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -16,12 +21,16 @@ using namespace swa::schedtool;
 
 namespace {
 
-cfg::Config unboundProblem(double Utilization, uint64_t Seed) {
+/// The 2x2x2 industrial shape, unbound: the search chooses every binding
+/// and window.
+cfg::Config unboundProblem(double Utilization, uint64_t Seed,
+                           double MessageProbability = 0.25) {
   gen::IndustrialParams P;
   P.Modules = 2;
   P.CoresPerModule = 2;
   P.PartitionsPerCore = 2;
   P.CoreUtilization = Utilization;
+  P.MessageProbability = MessageProbability;
   P.Seed = Seed;
   cfg::Config C = gen::industrialConfig(P);
   for (cfg::Partition &Part : C.Partitions) {
@@ -254,19 +263,7 @@ namespace {
 /// Like unboundProblem but with no messages: every core group is an
 /// independent component, so the decomposition layer engages.
 cfg::Config decoupledProblem(double Utilization, uint64_t Seed) {
-  gen::IndustrialParams P;
-  P.Modules = 2;
-  P.CoresPerModule = 2;
-  P.PartitionsPerCore = 2;
-  P.CoreUtilization = Utilization;
-  P.MessageProbability = 0.0;
-  P.Seed = Seed;
-  cfg::Config C = gen::industrialConfig(P);
-  for (cfg::Partition &Part : C.Partitions) {
-    Part.Core = -1;
-    Part.Windows.clear();
-  }
-  return C;
+  return unboundProblem(Utilization, Seed, /*MessageProbability=*/0.0);
 }
 
 /// The per-iteration lines of the search log — the verdict stream, without
@@ -502,9 +499,9 @@ TEST(Search, DecompositionEngagesOnDecoupledWorkloads) {
 
 TEST(Search, ComponentCacheAndDirtyTrackingEngage) {
   // On a decoupled workload the component cache must produce cross-round
-  // hits (the adaptive state mutates a few
-  // components per step, the rest repeat), dirty tracking must reuse
-  // clean components, and the statistics must be coherent.
+  // hits (the adaptive state mutates a few components per step, the rest
+  // repeat), the recorded moves must leave some components clean, and the
+  // statistics must be coherent.
   SearchProblem Problem;
   Problem.Base = decoupledProblem(0.8, 27);
   Problem.Seed = 37;
@@ -517,8 +514,8 @@ TEST(Search, ComponentCacheAndDirtyTrackingEngage) {
   EXPECT_GE(Res->ComponentCacheMisses, Res->ComponentsSimulated);
   EXPECT_GT(Res->DirtyComponents, 0);
   EXPECT_GT(Res->CleanComponentsReused, 0);
-  // Every decomposed candidate plans incrementally and every planned
-  // component meets the cache exactly once.
+  // Every component of a decomposed candidate is dirty or clean and meets
+  // the cache exactly once.
   EXPECT_EQ(Res->ComponentCacheHits + Res->ComponentCacheMisses,
             Res->DirtyComponents + Res->CleanComponentsReused);
   if (!Res->Found) {
@@ -533,6 +530,177 @@ TEST(Search, ComponentCacheAndDirtyTrackingEngage) {
     }
     EXPECT_TRUE(CacheLine) << "no component-cache statistics in the log";
     EXPECT_TRUE(IncLine) << "no incremental statistics in the log";
+  }
+}
+
+namespace {
+
+uint32_t resultDigest(const SearchResult &R) {
+  std::string Bytes = encodeSearchResultBytes(R);
+  return support::crc32(Bytes.data(), Bytes.size());
+}
+
+} // namespace
+
+TEST(Search, ResultBytesArePinned) {
+  // CRC-32 of the encoded SearchResult — verdict stream, best layout and
+  // every statistic, dirty/clean counts included — for 12 seeds in each of
+  // a decoupled, a sparse and a coupled shape. Recorded before candidate
+  // planning moved to cfg::decomposeConfig; any change to how the search
+  // evaluates candidates must keep every byte.
+  struct Shape {
+    double MessageProbability;
+    std::vector<uint32_t> Digests;
+  };
+  const std::vector<Shape> Shapes = {
+      {0.0,
+       {0x07c9d22fu, 0xa606aa88u, 0x6592a26cu, 0x7f0a31d6u, 0x61a97c0bu,
+        0xe35b5605u, 0xb2a45997u, 0x83a50738u, 0x6b2e813du, 0x17153cd0u,
+        0xa47c43cfu, 0x9027eecbu}},
+      {0.15,
+       {0xf23ac28bu, 0x4f614ec6u, 0x6eef6655u, 0xa6584c61u, 0xbc7f650bu,
+        0xe35b5605u, 0x0c0d834du, 0x619f30bfu, 0xdf3ab991u, 0x143fc48fu,
+        0x59855885u, 0x5b46d871u}},
+      {0.5,
+       {0x6ba795f9u, 0xf1f1ca02u, 0xc860e52eu, 0x9388d074u, 0x4152963eu,
+        0xe35b5605u, 0xbae67ebcu, 0x64a948d9u, 0x99055623u, 0xfe81dca4u,
+        0x1d305aa6u, 0x27f2465au}},
+  };
+  std::string Actual;
+  bool AllMatch = true;
+  for (const Shape &Sh : Shapes) {
+    Actual += "{" + std::to_string(Sh.MessageProbability) + ", {";
+    for (uint64_t K = 0; K < 12; ++K) {
+      SearchProblem Problem;
+      Problem.Base = unboundProblem(0.8, 40 + K, Sh.MessageProbability);
+      Problem.Seed = 70 + K;
+      Problem.MaxIterations = 120;
+      uint32_t Serial = 0;
+      for (int Workers : {1, 2, 4}) {
+        SCOPED_TRACE("message probability " +
+                     std::to_string(Sh.MessageProbability) + ", key " +
+                     std::to_string(K) + ", workers " +
+                     std::to_string(Workers));
+        Problem.Workers = Workers;
+        auto Res = searchConfiguration(Problem);
+        ASSERT_TRUE(Res.ok()) << Res.error().message();
+        uint32_t D = resultDigest(*Res);
+        if (Workers == 1) {
+          Serial = D;
+          char Buf[16];
+          std::snprintf(Buf, sizeof(Buf), "0x%08xu, ", D);
+          Actual += Buf;
+        }
+        EXPECT_EQ(D, Serial);
+        bool Match =
+            K < Sh.Digests.size() && D == Sh.Digests[static_cast<size_t>(K)];
+        EXPECT_TRUE(Match);
+        AllMatch = AllMatch && Match;
+      }
+    }
+    Actual += "}},\n";
+  }
+  if (!AllMatch)
+    ADD_FAILURE() << "digests:\n" << Actual;
+}
+
+namespace {
+
+/// The local strategy with every move left unrecorded: perturb makes the
+/// same change and then clears the Mutation.
+class UnrecordedStrategy : public Strategy {
+public:
+  const char *name() const override { return Inner->name(); }
+  void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
+               std::vector<double> &Boost, Mutation &M) override {
+    Inner->perturb(PJ, P, Config, Boost, M);
+    M = Mutation();
+  }
+  void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,
+             cfg::Config &Current, std::vector<double> &Boost) override {
+    Inner->adapt(R, P, Best, Current, Boost);
+  }
+  void adaptAllInvalid(Rng &R, const SearchProblem &P,
+                       std::vector<double> &Boost) override {
+    Inner->adaptAllInvalid(R, P, Boost);
+  }
+
+private:
+  std::unique_ptr<Strategy> Inner = makeStrategy("local");
+};
+
+} // namespace
+
+TEST(Search, UnrecordedMovesCannotChangeVerdicts) {
+  // The Mutation a strategy records feeds only the dirty/clean statistics:
+  // a strategy that records nothing must still reach the plain search's
+  // verdict stream, trajectory and chosen layout.
+  for (uint64_t K = 0; K < 12; ++K) {
+    SCOPED_TRACE("key " + std::to_string(K));
+    SearchProblem Problem;
+    Problem.Base = decoupledProblem(0.8, 40 + K);
+    Problem.Seed = 70 + K;
+    Problem.MaxIterations = 120;
+    auto Plain = searchConfiguration(Problem);
+    ASSERT_TRUE(Plain.ok()) << Plain.error().message();
+    UnrecordedStrategy Unrecorded;
+    Problem.Strat = &Unrecorded;
+    auto Res = searchConfiguration(Problem);
+    ASSERT_TRUE(Res.ok()) << Res.error().message();
+    EXPECT_EQ(iterLines(*Res), iterLines(*Plain));
+    EXPECT_EQ(Res->Found, Plain->Found);
+    EXPECT_EQ(Res->BestTrajectory, Plain->BestTrajectory);
+    EXPECT_EQ(snapshotBaseCrc(Res->Best), snapshotBaseCrc(Plain->Best));
+  }
+}
+
+namespace {
+
+/// Counts every strategy call; the moves themselves are the local
+/// strategy's.
+class CountingStrategy : public UnrecordedStrategy {
+public:
+  int Calls = 0;
+  void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
+               std::vector<double> &Boost, Mutation &M) override {
+    ++Calls;
+    UnrecordedStrategy::perturb(PJ, P, Config, Boost, M);
+  }
+  void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,
+             cfg::Config &Current, std::vector<double> &Boost) override {
+    ++Calls;
+    UnrecordedStrategy::adapt(R, P, Best, Current, Boost);
+  }
+  void adaptAllInvalid(Rng &R, const SearchProblem &P,
+                       std::vector<double> &Boost) override {
+    ++Calls;
+    UnrecordedStrategy::adaptAllInvalid(R, P, Boost);
+  }
+};
+
+} // namespace
+
+TEST(Search, InvalidBaseIsAnErrorBeforeAnyCandidate) {
+  // A Base task with no WCETs (first-fit binding would read past the list)
+  // and one with a negative period (every candidate would fail validation)
+  // are both rejected at entry, before any candidate is generated.
+  for (int Case = 0; Case < 2; ++Case) {
+    SCOPED_TRACE("case " + std::to_string(Case));
+    SearchProblem Problem;
+    Problem.Base = decoupledProblem(0.5, 3);
+    cfg::Task &T = Problem.Base.Partitions[1].Tasks[0];
+    if (Case == 0)
+      T.Wcet.clear();
+    else
+      T.Period = -10;
+    Problem.MaxIterations = 8;
+    CountingStrategy Counting;
+    Problem.Strat = &Counting;
+    auto Res = searchConfiguration(Problem);
+    ASSERT_FALSE(Res.ok());
+    EXPECT_NE(Res.error().message().find("partition 1"), std::string::npos)
+        << Res.error().message();
+    EXPECT_EQ(Counting.Calls, 0);
   }
 }
 
