@@ -17,7 +17,7 @@
 // byte-identical for every N. --budget-ms caps each candidate's
 // simulation wall-clock time: a candidate that exceeds it is logged as
 // skipped and the search keeps going. Numeric values are non-negative
-// decimal integers (--workers at least 1); a malformed value, and any
+// decimal integers (--workers 1 to 256); a malformed value, and any
 // other argument that is not such an integer seed, is rejected with the
 // usage text (exit 2).
 // --trace-out records per-candidate / per-simulation spans and writes a
@@ -48,7 +48,6 @@
 #include "support/StringUtils.h"
 
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -60,7 +59,8 @@ static const char kUsage[] =
     "usage: config_search [seed] [--workers N] [--budget-ms MS]\n"
     "                     [--checkpoint FILE] [--checkpoint-every-ms MS]\n"
     "                     [--resume] [--trace-out FILE] [--report-out FILE]\n"
-    "                     [--strategy NAME]\n";
+    "                     [--strategy NAME]\n"
+    "N is 1..256; MS values are non-negative integers\n";
 
 int main(int argc, char **argv) {
   uint64_t Seed = 7;
@@ -79,7 +79,7 @@ int main(int argc, char **argv) {
     if (std::strcmp(argv[I], "--workers") == 0) {
       Num = &Workers;
       Min = 1;
-      Max = INT_MAX;
+      Max = 256;
     } else if (std::strcmp(argv[I], "--budget-ms") == 0) {
       Num = &BudgetMs;
     } else if (std::strcmp(argv[I], "--checkpoint-every-ms") == 0) {

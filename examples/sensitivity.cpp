@@ -18,8 +18,8 @@
 // the convergence granularity of the tick-valued searches (default 1:
 // adjacent certificates). --workers fans the (task, parameter) queries
 // out over N threads; the printed summary is byte-identical for every N.
-// Numeric values are non-negative decimal integers (--tolerance and
-// --workers at least 1); a malformed or missing value, and any other
+// Numeric values are non-negative decimal integers (--tolerance at
+// least 1, --workers 1 to 256); a malformed or missing value, and any other
 // argument that is not such an integer seed, is rejected with the usage
 // text (exit 1; exit 2 means the base configuration stayed undecided).
 //
@@ -33,7 +33,6 @@
 #include "support/StringUtils.h"
 
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,7 +42,8 @@ using namespace swa;
 static const char kUsage[] =
     "usage: sensitivity [seed] [--param wcet|period|offset|frontier|all]\n"
     "                   [--tolerance TICKS] [--workers N] [--budget-ms MS]\n"
-    "                   [--report-out FILE] [--trace-out FILE]\n";
+    "                   [--report-out FILE] [--trace-out FILE]\n"
+    "N is 1..256; TICKS is at least 1; MS is a non-negative integer\n";
 
 int main(int argc, char **argv) {
   uint64_t Seed = 7;
@@ -63,7 +63,7 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--workers") == 0) {
       Num = &Workers;
       Min = 1;
-      Max = INT_MAX;
+      Max = 256;
     } else if (std::strcmp(argv[I], "--budget-ms") == 0) {
       Num = &BudgetMs;
     }

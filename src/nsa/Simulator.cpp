@@ -323,10 +323,16 @@ SimResult Simulator::run(const SimOptions &Options) {
   using Clock = std::chrono::steady_clock;
   const bool HasBudget = Options.WallClockBudgetMs >= 0;
   const bool Guarded = HasBudget || Options.Cancel != nullptr;
-  Clock::time_point Deadline;
-  if (HasBudget)
-    Deadline =
-        Clock::now() + std::chrono::milliseconds(Options.WallClockBudgetMs);
+  // A budget whose deadline the clock cannot represent never expires:
+  // converting it to clock ticks would overflow and wrap into the past.
+  Clock::time_point Deadline = Clock::time_point::max();
+  if (HasBudget) {
+    const Clock::time_point Now = Clock::now();
+    const auto Headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - Now);
+    if (Options.WallClockBudgetMs < Headroom.count())
+      Deadline = Now + std::chrono::milliseconds(Options.WallClockBudgetMs);
+  }
   constexpr uint64_t GuardInterval = 4096;
   uint64_t GuardTick = 0;
 

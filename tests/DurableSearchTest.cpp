@@ -460,7 +460,7 @@ TEST(ConfigSearchCli, RejectsUnknownArguments) {
   for (const char *Arg :
        {"--no-cache", "--bogus-flag", "7x", "--fleet 4",
         "--portfolio local,genetic", "--fleet-worker d", "--workers abc",
-        "--workers -2", "--workers 0", "--budget-ms -5",
+        "--workers -2", "--workers 0", "--workers 257", "--budget-ms -5",
         "--checkpoint-every-ms x"}) {
     std::string Cmd = std::string(SWA_CONFIG_SEARCH_BIN) + " " + Arg +
                       " >/dev/null 2>&1";

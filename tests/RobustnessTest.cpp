@@ -642,6 +642,42 @@ TEST(GuardRails, ZeroBudgetSkipsEveryIncrementalCandidate) {
   }
 }
 
+TEST(GuardRails, HugeBudgetNeverExpires) {
+  // A budget whose deadline lies past the clock's range (milliseconds to
+  // nanoseconds overflows int64 from about 9.2e12 ms on) is no deadline:
+  // the run completes with the unbudgeted trace and no search candidate
+  // is skipped.
+  auto Model = core::buildModel(testcfg::twoTasksOneCore());
+  ASSERT_TRUE(Model.ok()) << Model.error().message();
+  nsa::Simulator Sim(*Model->Net);
+  nsa::SimResult Plain = Sim.run();
+  ASSERT_TRUE(Plain.ok()) << Plain.Error;
+
+  schedtool::SearchProblem Problem;
+  Problem.Base = unwinnableDecoupledProblem();
+  Problem.Seed = 5;
+  Problem.MaxIterations = 12;
+  for (int64_t Budget : {IntMax, int64_t{10000000000000}}) {
+    nsa::SimOptions Opt;
+    Opt.WallClockBudgetMs = Budget;
+    nsa::SimResult R = Sim.run(Opt);
+    ASSERT_TRUE(R.ok()) << "budget=" << Budget << ": " << R.Error;
+    EXPECT_EQ(R.Stop, nsa::StopReason::Completed) << "budget=" << Budget;
+    EXPECT_EQ(R.ActionCount, Plain.ActionCount) << "budget=" << Budget;
+    EXPECT_EQ(R.DelayCount, Plain.DelayCount) << "budget=" << Budget;
+    EXPECT_EQ(R.Events.size(), Plain.Events.size()) << "budget=" << Budget;
+    EXPECT_TRUE(nsa::syncTracesEqual(R.Events, Plain.Events))
+        << "budget=" << Budget;
+    EXPECT_EQ(R.Final.Now, Plain.Final.Now) << "budget=" << Budget;
+
+    Problem.CandidateBudgetMs = Budget;
+    auto Res = schedtool::searchConfiguration(Problem);
+    ASSERT_TRUE(Res.ok()) << Res.error().message();
+    EXPECT_EQ(Res->CandidatesSkipped, 0) << "budget=" << Budget;
+    EXPECT_GT(Res->ConfigurationsEvaluated, 0) << "budget=" << Budget;
+  }
+}
+
 TEST(GuardRails, WatchdogCancelEndsIncrementalSearchMidRun) {
   // A watchdog thread cancels a hopeless search (every candidate
   // unschedulable, iteration cap far beyond what the watchdog window

@@ -307,7 +307,7 @@ TEST(SensitivityCli, RejectsBadArguments) {
   for (const char *Arg :
        {"--wrokers 2", "--param", "--workers abc", "--workers 0",
         "--workers -2", "--tolerance -3", "--tolerance 0", "--tolerance",
-        "--budget-ms -5", "--report-out", "7x"}) {
+        "--budget-ms -5", "--report-out", "7x", "--workers 257"}) {
     std::string Cmd =
         std::string(SWA_SENSITIVITY_BIN) + " " + Arg + " >/dev/null 2>&1";
     int Status = std::system(Cmd.c_str());
