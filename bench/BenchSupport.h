@@ -11,7 +11,7 @@
 /// process. Simulation-driving benchmarks then call exportObsCounters()
 /// after their measurement loop so the engine counter totals land in the
 /// per-benchmark user counters — and therefore in the JSON emitted via
-/// `--benchmark_out=BENCH_*.json`, giving each wall-time point its
+/// `--benchmark_out=FILE.json`, giving each wall-time point its
 /// event-count context. A full text report also goes to stderr at exit.
 /// A run in which no benchmark matched the filter exits non-zero, so a
 /// stale --benchmark_filter fails loudly instead of passing vacuously.
@@ -66,8 +66,8 @@ inline void exportObsCounters(benchmark::State &State) {
 /// compiled. Google benchmark's own "library_build_type" context key
 /// describes the prebuilt libbenchmark — on Debian that library is built
 /// without NDEBUG and self-reports "debug" even when every measured
-/// instruction is from a Release build — so recording scripts gate on
-/// this key instead (bench/run_baseline.sh).
+/// instruction is from a Release build — so a script that keeps a
+/// benchmark's JSON should check this key instead.
 #ifdef NDEBUG
 #define SWA_BENCH_BUILD_TYPE "release"
 #else

@@ -26,7 +26,7 @@ BIN="$ROOT/$BUILD/examples/difftest_campaign"
 
 # The campaign is wall-clock bounded per simulation; a debug build can
 # push honest configs over the budget and report phantom mismatches.
-# Configure Release (matching run_baseline.sh) before trusting a red run.
+# Configure Release before trusting a red run.
 CACHE="$ROOT/$BUILD/CMakeCache.txt"
 if [ ! -f "$CACHE" ]; then
   echo "== configuring $BUILD (Release) ==" >&2

@@ -8,10 +8,8 @@
 /// A versioned JSON summary of one tool run: tool-specific stats (cache
 /// hit/miss/fold counts, stop-reason taxonomy, candidates/s, ...) plus the
 /// merged observability state — counters, histogram summaries, and the
-/// phase tree — captured at write() time. Consumers (bench/compare_bench.py)
-/// key on the schema version field, so perf regressions can be *attributed*
-/// ("hit rate dropped 40%", "simulate nanos doubled") instead of just
-/// detected.
+/// phase tree — captured at write() time. Consumers key on the schema
+/// version field.
 ///
 /// Schema (version 1):
 ///

@@ -4,13 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Exercises the machine-readable reporting path the bench harness rides
-// on (`bench/run_baseline.sh --report` -> `examples/config_search
-// --report-out/--trace-out` -> `bench/compare_bench.py`), but through the
-// library APIs, so `ctest -L perf` catches a broken exporter before a
-// baseline recording does: a full-observability search must produce a
-// Chrome trace with per-candidate and per-component spans and a RunReport
-// whose numbers match the SearchResult the search returned.
+// Exercises the machine-readable reporting path behind
+// `examples/config_search --report-out/--trace-out`, but through the
+// library APIs, so `ctest -L perf` catches a broken exporter: a
+// full-observability search must produce a Chrome trace with
+// per-candidate and per-component spans and a RunReport whose numbers
+// match the SearchResult the search returned.
 //
 //===----------------------------------------------------------------------===//
 

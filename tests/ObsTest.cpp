@@ -572,7 +572,7 @@ TEST(ObsEngine, SearchRecordsBestTrajectory) {
 }
 
 TEST(ObsEngine, SearchCountersMatchResultStatsOnFoundRun) {
-  // Regression for the BENCH_PR9 report skew: a run that *finds* a
+  // Regression for a report skew: a run that *finds* a
   // configuration returns from the middle of a round, and that early
   // return used to skip the round-end counter flush — the report's
   // stats.* numbers (from SearchResult) were nonzero while every
