@@ -25,17 +25,25 @@
 #               and not every head run beats every base run;
 #   same        otherwise.
 # Exit codes: 0 clean, 1 a bounded metric is worse or the head fails a
-# larger share of answers than the base, 2 a run or the set-up failed.
+# larger share of answers than the base, 2 a run or the set-up failed,
+# 128 + N when signal N (SIGINT or SIGTERM) stopped the comparison.
+#
+# Every git and perfbench process runs in a session of its own. On SIGINT
+# or SIGTERM the script stops that process group (the arm's run.py and the
+# cmake, compiler or benchmark processes under it), waits for it, and only
+# then removes the temporary directory.
 #
 # ===----------------------------------------------------------------------===#
 import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -75,6 +83,68 @@ def exit_code(judgements, base_failed_share, head_failed_share):
     return 1 if worse or head_failed_share > base_failed_share else 0
 
 
+class Stopped(Exception):
+    """SIGINT or SIGTERM reached the script."""
+
+    def __init__(self, signum):
+        super().__init__(f"stopped by signal {signum}")
+        self.signum = signum
+
+
+def raise_stopped(signum, frame):
+    raise Stopped(signum)
+
+
+# The subprocess that is running, if any; stop_child() ends its group.
+child = None
+
+
+def run(cmd, **kw):
+    """Runs `cmd` in a session of its own and returns (returncode, stdout)."""
+    global child
+    child = subprocess.Popen(cmd, start_new_session=True, **kw)
+    out, _ = child.communicate()
+    rc, child = child.returncode, None
+    return rc, out
+
+
+def stop_child(grace_s=10.0):
+    """Stops the running subprocess's process group, first with SIGTERM and
+    then with SIGKILL, and waits until no member of the group is left."""
+    if child is None:
+        return
+    for sig in (signal.SIGTERM, signal.SIGKILL):
+        try:
+            os.killpg(child.pid, sig)
+        except ProcessLookupError:
+            break
+        deadline = time.monotonic() + grace_s
+        while time.monotonic() < deadline:
+            child.poll()
+            try:
+                os.killpg(child.pid, 0)
+            except ProcessLookupError:
+                return
+            time.sleep(0.05)
+    child.wait()
+
+
+def commit_of(rev):
+    """The full sha that `rev` names in the repository, or None."""
+    res = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
+                          rev + "^{commit}"], capture_output=True, text=True)
+    return res.stdout.strip() if res.returncode == 0 else None
+
+
+def checkout(sha, dest):
+    """Checks `sha` out into the new directory `dest`."""
+    for cmd in (["git", "clone", "--quiet", "--shared", "--no-checkout",
+                 ROOT, dest],
+                ["git", "-C", dest, "checkout", "--quiet", "--detach", sha]):
+        if run(cmd)[0] != 0:
+            raise SystemExit(f"error: {' '.join(cmd)} failed")
+
+
 def run_arm(arm, workload, seed, seconds, trace):
     """One perfbench run in checkout `arm`; returns (stamp, result)."""
     # run.py joins CARGO_TARGET_DIR onto its checkout unless the value is
@@ -83,12 +153,10 @@ def run_arm(arm, workload, seed, seconds, trace):
     cmd = [sys.executable, os.path.join(arm, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    res = subprocess.run(cmd, cwd=arm, env=env, stdout=subprocess.PIPE,
-                         text=True)
-    if res.returncode != 0:
-        raise SystemExit(f"error: {' '.join(cmd)} exited with "
-                         f"{res.returncode}")
-    lines = res.stdout.strip().splitlines()
+    rc, out = run(cmd, cwd=arm, env=env, stdout=subprocess.PIPE, text=True)
+    if rc != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited with {rc}")
+    lines = out.strip().splitlines()
     return json.loads(lines[-2])["stamp"], json.loads(lines[-1])
 
 
@@ -106,21 +174,17 @@ def main(argv):
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         p.error("--workload must name a workload in BENCHMARK.json")
     group = spec["per_layer"] if args.trace else spec["end_to_end"]
-    res = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify",
-                          args.base + "^{commit}"], capture_output=True,
-                         text=True)
-    if res.returncode != 0:
+    sha = commit_of(args.base)
+    if sha is None:
         print(f"error: '{args.base}' names no commit", file=sys.stderr)
         return 2
-    sha = res.stdout.strip()
 
+    handlers = {sig: signal.signal(sig, raise_stopped)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     tmp = tempfile.mkdtemp(prefix="ab_commits-")
     try:
         base_dir = os.path.join(tmp, "base")
-        subprocess.run(["git", "clone", "--quiet", "--shared", "--no-checkout",
-                        ROOT, base_dir], check=True)
-        subprocess.run(["git", "-C", base_dir, "checkout", "--quiet",
-                        "--detach", sha], check=True)
+        checkout(sha, base_dir)
         arms = {"base": base_dir, "head": ROOT}
         stamps, results = {}, {"base": [], "head": []}
         for i in range(args.runs):
@@ -131,11 +195,20 @@ def main(argv):
                 print(f"pair {i + 1}/{args.runs} {side}: {r['attempted']} "
                       f"answers, {r['failed']} failed", file=sys.stderr,
                       flush=True)
-    except (SystemExit, subprocess.CalledProcessError) as e:
+    except SystemExit as e:
         print(e, file=sys.stderr)
         return 2
+    except Stopped as e:
+        print(e, file=sys.stderr)
+        return 128 + e.signum
     finally:
+        # A second signal must not cut the clean-up short.
+        for sig in handlers:
+            signal.signal(sig, signal.SIG_IGN)
+        stop_child()
         shutil.rmtree(tmp, ignore_errors=True)
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
 
     print(f"# {args.workload}: {args.runs} interleaved pairs, "
           f"{spec['run_seconds']}s per run, trace {args.trace}")

@@ -126,7 +126,7 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
   cfg::Config Base = packedUnschedulableConfig();
 
   int64_t TotalEvaluated = 0;
-  int64_t Hits = 0, Misses = 0, Dups = 0, Decomposed = 0;
+  int64_t Hits = 0, Misses = 0, Decomposed = 0;
   for (auto _ : State) {
     schedtool::SearchProblem Problem;
     Problem.Base = Base;
@@ -142,16 +142,14 @@ static void BM_SearchUnschedulable(benchmark::State &State) {
     TotalEvaluated += Res->ConfigurationsEvaluated;
     Hits += Res->CacheHits;
     Misses += Res->CacheMisses;
-    Dups += Res->DuplicateCandidates;
     Decomposed += Res->DecomposedCandidates;
   }
   State.counters["workers"] = Workers;
   State.counters["candidates_per_sec"] = benchmark::Counter(
       static_cast<double>(TotalEvaluated), benchmark::Counter::kIsRate);
   State.counters["cache_hit_rate"] =
-      TotalEvaluated > 0
-          ? static_cast<double>(Hits + Dups) /
-                static_cast<double>(TotalEvaluated)
+      Hits + Misses > 0
+          ? static_cast<double>(Hits) / static_cast<double>(Hits + Misses)
           : 0.0;
   State.counters["decomposed"] = static_cast<double>(Decomposed);
   swa::benchsupport::exportObsCounters(State);

@@ -3,14 +3,20 @@
 #
 # Part of the swa-sched project.
 #
-# Checks ab_commits.py's verdict rule and exit code on synthetic series;
-# no git, no builds, no benchmark runs.
+# Checks ab_commits.py's verdict rule and exit code on synthetic series,
+# and its clean-up on SIGTERM with fake arms; no git, no builds, no
+# benchmark runs.
 #
 #   $ python3 bench/test_ab_commits.py
 #
 # ===----------------------------------------------------------------------===#
+import json
 import os
+import signal
+import subprocess
 import sys
+import tempfile
+import time
 import unittest
 
 sys.dont_write_bytecode = True
@@ -88,6 +94,86 @@ class Verdicts(unittest.TestCase):
         self.assertEqual(ab_commits.exit_code({"m": j}, 0.0, 0.01), 1)
         self.assertEqual(ab_commits.exit_code({"m": j}, 0.01, 0.01), 0)
         self.assertEqual(ab_commits.exit_code({"m": j}, 0.02, 0.01), 0)
+
+
+# A fake arm's perfbench/run.py: starts a sleeping grandchild, records its
+# pid, and sleeps as a build would.
+FAKE_RUN = """
+import subprocess, sys, time
+sleeper = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+with open(sys.argv[0] + ".pid", "w") as f:
+    f.write(str(sleeper.pid))
+time.sleep(60)
+"""
+
+# Runs ab_commits.main with ROOT at a fake head arm and a base arm copied
+# from it instead of cloned.
+DRIVER = """
+import shutil, sys, tempfile
+sys.path.insert(0, {bench!r})
+import ab_commits
+ab_commits.ROOT = {head!r}
+ab_commits.commit_of = lambda rev: "0" * 40
+ab_commits.checkout = lambda sha, dest: shutil.copytree({head!r}, dest)
+tempfile.tempdir = {tmp!r}
+sys.exit(ab_commits.main(["base", "--workload", "w"]))
+"""
+
+
+def alive(pid):
+    """Whether `pid` runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+            return True
+        except ProcessLookupError:
+            return False
+
+
+class Cleanup(unittest.TestCase):
+    def test_sigterm_stops_the_arm_and_removes_the_clone(self):
+        with tempfile.TemporaryDirectory() as work:
+            head = os.path.join(work, "head")
+            tmp = os.path.join(work, "tmp")
+            os.makedirs(os.path.join(head, "perfbench"))
+            os.makedirs(tmp)
+            run_py = os.path.join(head, "perfbench", "run.py")
+            with open(run_py, "w") as f:
+                f.write(FAKE_RUN)
+            with open(os.path.join(head, "BENCHMARK.json"), "w") as f:
+                json.dump({"run_seconds": 1, "workloads": [{"name": "w"}],
+                           "end_to_end": [], "per_layer": []}, f)
+            bench = os.path.dirname(os.path.abspath(__file__))
+            script = subprocess.Popen(
+                [sys.executable, "-c",
+                 DRIVER.format(bench=bench, head=head, tmp=tmp)],
+                stderr=subprocess.DEVNULL)
+            try:
+                # Pair 1 runs the head arm first.
+                pid_file = run_py + ".pid"
+                deadline = time.monotonic() + 30
+                while not os.path.exists(pid_file):
+                    self.assertLess(time.monotonic(), deadline)
+                    self.assertIsNone(script.poll())
+                    time.sleep(0.05)
+                time.sleep(0.2)
+                with open(pid_file) as f:
+                    sleeper = int(f.read())
+                self.assertTrue(alive(sleeper))
+                self.assertEqual(len(os.listdir(tmp)), 1)
+                script.send_signal(signal.SIGTERM)
+                self.assertEqual(script.wait(timeout=30), 128 + signal.SIGTERM)
+            finally:
+                if script.poll() is None:
+                    script.kill()
+                    script.wait()
+            self.assertFalse(alive(sleeper))
+            self.assertEqual(os.listdir(tmp), [])
 
 
 if __name__ == "__main__":

@@ -208,10 +208,8 @@ int main(int argc, char **argv) {
               Res->ConfigurationsEvaluated, Res->CandidatesSkipped,
               Res->Found ? "found a schedulable one"
                          : "no schedulable configuration found");
-  std::printf("cache: %d hits / %d misses (%d symmetry folds, %d "
-              "intra-batch duplicates)\n",
-              Res->CacheHits, Res->CacheMisses, Res->SymmetryFolds,
-              Res->DuplicateCandidates);
+  std::printf("cache: %d hits / %d misses\n", Res->CacheHits,
+              Res->CacheMisses);
   int Lookups = Res->ComponentCacheHits + Res->ComponentCacheMisses;
   std::printf("components: %d candidates decomposed; %d hits / %d misses "
               "(%.0f%% hit rate); %d dirty / %d clean\n",

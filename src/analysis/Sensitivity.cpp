@@ -149,9 +149,9 @@ struct ProbeEngine {
     }
     // A whole config is the one-component case of the search's cache:
     // fingerprintConfig is its key at its own hyperperiod.
-    cfg::Fingerprint Canon = cfg::fingerprintConfig(C);
+    cfg::Fingerprint Key = cfg::fingerprintConfig(C);
     if (const schedtool::VerdictCache::ComponentEntry *E =
-            Cache.lookupComponent(Canon)) {
+            Cache.lookupComponent(Key)) {
       if (HitC)
         HitC->add(1);
       return E->Verdict.Schedulable ? Probe::Pass : Probe::Fail;
@@ -173,8 +173,7 @@ struct ProbeEngine {
       Aborted = true;
       return Probe::Undecided;
     }
-    Cache.insertComponent(
-        Canon, cfg::fingerprintConfig(C, /*CanonicalizeCores=*/false), *Out);
+    Cache.insertComponent(Key, *Out);
     return Out->Schedulable ? Probe::Pass : Probe::Fail;
   }
 };

@@ -47,7 +47,7 @@
 /// (task, parameter) query, results written by index and merged in task
 /// order — the result is byte-identical for every worker count. Probes
 /// consult a schedtool::VerdictCache keyed by the perturbed config's
-/// canonical fingerprint (offset probes of co-partitioned tasks and
+/// structural fingerprint (offset probes of co-partitioned tasks and
 /// repeated queries against a caller-shared cache replay for free); only
 /// decided verdicts are cached, so early-exit verdicts — which are exact —
 /// are the only thing a probe can replay. Cache hit/miss *counts* are

@@ -1,12 +1,10 @@
-//===- config/Fingerprint.cpp - Canonical structural config hash ----------===//
+//===- config/Fingerprint.cpp - Structural config hash --------------------===//
 //
 // Part of the swa-sched project.
 //
 //===----------------------------------------------------------------------===//
 
 #include "config/Fingerprint.h"
-
-#include <vector>
 
 using namespace swa;
 using namespace swa::cfg;
@@ -36,45 +34,16 @@ struct Hash128 {
   void add(int V) { add(static_cast<uint64_t>(static_cast<int64_t>(V))); }
 };
 
-} // namespace
-
-Fingerprint cfg::fingerprintConfig(const Config &Config,
-                                   bool CanonicalizeCores) {
+/// The one structural walk behind both keys: after \p Tag, the core-type
+/// count, every partition's scheduler, bound core (its index and class),
+/// tasks and windows, then the message graph. \p WindowPositions hashes
+/// each window's edges; without it only each partition's window count
+/// enters the key.
+Fingerprint walk(const Config &Config, uint64_t Tag, bool WindowPositions) {
   Hash128 H;
-  H.add(uint64_t{0x5357412d464e4750ULL}); // "SWA-FNGP" domain tag
+  H.add(Tag);
   H.add(Config.NumCoreTypes);
   H.add(static_cast<uint64_t>(Config.Partitions.size()));
-
-  // Canonical core renaming: within each (Module, CoreType) class, cores
-  // get ranks in order of first use scanning partitions by index. Two
-  // bindings differing only by a permutation of same-class cores produce
-  // identical (Module, CoreType, Rank) triples. Unused cores never reach
-  // the built model and are excluded entirely.
-  std::vector<int> CanonRank(Config.Cores.size(), -1);
-  {
-    // Per-class next-rank counters, keyed densely by Module/CoreType pairs
-    // seen so far (configs have a handful of classes; linear scan is fine).
-    std::vector<std::pair<std::pair<int, int>, int>> ClassNext;
-    for (const Partition &P : Config.Partitions) {
-      if (P.Core < 0 || static_cast<size_t>(P.Core) >= Config.Cores.size())
-        continue;
-      if (CanonRank[static_cast<size_t>(P.Core)] >= 0)
-        continue;
-      const Core &C = Config.Cores[static_cast<size_t>(P.Core)];
-      std::pair<int, int> Key{C.Module, C.CoreType};
-      int Rank = 0;
-      bool Found = false;
-      for (auto &E : ClassNext)
-        if (E.first == Key) {
-          Rank = E.second++;
-          Found = true;
-          break;
-        }
-      if (!Found)
-        ClassNext.push_back({Key, 1});
-      CanonRank[static_cast<size_t>(P.Core)] = Rank;
-    }
-  }
 
   for (const Partition &P : Config.Partitions) {
     H.add(static_cast<int>(P.Scheduler));
@@ -82,8 +51,7 @@ Fingerprint cfg::fingerprintConfig(const Config &Config,
       const Core &C = Config.Cores[static_cast<size_t>(P.Core)];
       H.add(C.Module);
       H.add(C.CoreType);
-      H.add(CanonicalizeCores ? CanonRank[static_cast<size_t>(P.Core)]
-                              : P.Core);
+      H.add(P.Core);
     } else {
       H.add(uint64_t{0xffffffffffffffffULL}); // unbound sentinel
     }
@@ -97,10 +65,11 @@ Fingerprint cfg::fingerprintConfig(const Config &Config,
         H.add(W);
     }
     H.add(static_cast<uint64_t>(P.Windows.size()));
-    for (const Window &W : P.Windows) {
-      H.add(W.Start);
-      H.add(W.End);
-    }
+    if (WindowPositions)
+      for (const Window &W : P.Windows) {
+        H.add(W.Start);
+        H.add(W.End);
+      }
   }
 
   H.add(static_cast<uint64_t>(Config.Messages.size()));
@@ -116,9 +85,15 @@ Fingerprint cfg::fingerprintConfig(const Config &Config,
   return {H.A, H.B};
 }
 
-Fingerprint cfg::fingerprintComponent(const Config &Sub, int64_t Horizon,
-                                      bool CanonicalizeCores) {
-  Fingerprint F = fingerprintConfig(Sub, CanonicalizeCores);
+} // namespace
+
+Fingerprint cfg::fingerprintConfig(const Config &Config) {
+  return walk(Config, 0x5357412d464e4750ULL /* "SWA-FNGP" */,
+              /*WindowPositions=*/true);
+}
+
+Fingerprint cfg::fingerprintComponent(const Config &Sub, int64_t Horizon) {
+  Fingerprint F = fingerprintConfig(Sub);
   // A component simulated at its own hyperperiod is indistinguishable
   // from the standalone config — keep the fingerprints equal so whole-
   // config and component cache entries agree by construction. Only an
@@ -135,49 +110,8 @@ Fingerprint cfg::fingerprintComponent(const Config &Sub, int64_t Horizon,
 }
 
 Fingerprint cfg::fingerprintShape(const Config &Config) {
-  Hash128 H;
-  H.add(uint64_t{0x5357412d53484150ULL}); // "SWA-SHAP" domain tag
-  H.add(Config.NumCoreTypes);
-  H.add(static_cast<uint64_t>(Config.Partitions.size()));
-
-  for (const Partition &P : Config.Partitions) {
-    H.add(static_cast<int>(P.Scheduler));
-    if (P.Core >= 0 && static_cast<size_t>(P.Core) < Config.Cores.size()) {
-      const Core &C = Config.Cores[static_cast<size_t>(P.Core)];
-      H.add(C.Module);
-      H.add(C.CoreType);
-      // Raw index, never the canonical rank: the instance layout (one
-      // CoreScheduler automaton per used core, in core-index order)
-      // depends on the actual indices, and the rebinder patches slots by
-      // that layout.
-      H.add(P.Core);
-    } else {
-      H.add(uint64_t{0xffffffffffffffffULL}); // unbound sentinel
-    }
-    H.add(static_cast<uint64_t>(P.Tasks.size()));
-    for (const Task &T : P.Tasks) {
-      H.add(T.Priority);
-      H.add(T.Period);
-      H.add(T.Deadline);
-      H.add(static_cast<uint64_t>(T.Wcet.size()));
-      for (TimeValue W : T.Wcet)
-        H.add(W);
-    }
-    // Window *count* only: the positions live in patchable const arrays,
-    // but the count is folded into compiled guards (nw) and sizes the
-    // tables.
-    H.add(static_cast<uint64_t>(P.Windows.size()));
-  }
-
-  H.add(static_cast<uint64_t>(Config.Messages.size()));
-  for (const Message &M : Config.Messages) {
-    H.add(M.Sender.Partition);
-    H.add(M.Sender.Task);
-    H.add(M.Receiver.Partition);
-    H.add(M.Receiver.Task);
-    H.add(M.MemDelay);
-    H.add(M.NetDelay);
-  }
-
-  return {H.A, H.B};
+  // Window counts only: the positions live in patchable const arrays, but
+  // the count is folded into compiled guards (nw) and sizes the tables.
+  return walk(Config, 0x5357412d53484150ULL /* "SWA-SHAP" */,
+              /*WindowPositions=*/false);
 }

@@ -1,4 +1,4 @@
-//===- config/Fingerprint.h - Canonical structural config hash --*- C++ -*-===//
+//===- config/Fingerprint.h - Structural config hash ---------*- C++ -*-===//
 //
 // Part of the swa-sched project.
 //
@@ -11,30 +11,28 @@
 /// the hash covers exactly the inputs of core::buildModel that influence
 /// the NSA — scheduler kinds, task parameters (priority, period, deadline,
 /// the full per-core-type WCET vector), windows, message graph and delays,
-/// and the *canonicalized* partition-to-core binding.
+/// and each partition's bound core: its index together with its
+/// (Module, CoreType) class.
 ///
-/// Canonicalization: cores of the same (Module, CoreType) are
-/// interchangeable — relabeling them permutes nothing observable, because
-/// every task automaton's parameters (WCET via the core type, message
-/// delays via the module) and every CoreScheduler's window table are fixed
-/// by the class, not the index. The fingerprint therefore renames cores
-/// within each (Module, CoreType) class by first use in partition order,
-/// so two symmetric bindings fold to one cache entry (counted as a
-/// symmetry fold by the search).
+/// The key is a plain function of those fields: no renaming of
+/// interchangeable cores. Two bindings that differ only by a permutation
+/// of same-class cores hash differently and are simulated separately; a
+/// search meets such twins too rarely for folding them to save any
+/// simulation (EXPERIMENTS.md, "One key per verdict").
 ///
 /// Names (config, core, partition, task) are deliberately excluded: they
 /// never reach the engine's semantics.
 ///
-/// Stability: since PR 9 fingerprints are also *persisted* cache keys —
-/// schedtool::Snapshot serializes VerdictCache entries under their
-/// canonical fingerprints, and a resumed or warm-started search trusts a
+/// Stability: fingerprintConfig and fingerprintComponent values are
+/// *persisted* cache keys — schedtool::Snapshot serializes VerdictCache
+/// entries under them, and a resumed or warm-started search trusts a
 /// loaded entry's verdict for any config that hashes to the same key.
-/// Any change to the hashed field set, the mixing function, or the
-/// canonicalization order therefore MUST bump Snapshot::FormatVersion
-/// (schedtool/Snapshot.h): an old snapshot read under a new hash would
-/// silently miss (harmless) or, worse, collide (wrong verdict). The
-/// version check turns that into a typed SnapshotVersionSkew rejection
-/// and a cold start.
+/// Any change to the hashed field set, its order or the mixing function
+/// therefore MUST bump Snapshot::FormatVersion (schedtool/Snapshot.h): an
+/// old snapshot read under a new hash would silently miss (harmless) or,
+/// worse, collide (wrong verdict). The version check turns that into a
+/// typed SnapshotVersionSkew rejection and a cold start. fingerprintShape
+/// keys only live in memory (analysis::ModelArena) and may change freely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,17 +69,10 @@ struct FingerprintHash {
   }
 };
 
-/// Computes the canonical structural fingerprint of \p Config. Symmetric
-/// core relabelings (same Module and CoreType) hash identically; any
-/// semantically visible difference — a binding to a different core class,
-/// a window edge, a task parameter, a message delay — changes the value.
-///
-/// With \p CanonicalizeCores false the actual core indices are hashed
-/// instead of the canonical ranks: two symmetric bindings then hash
-/// *differently*. The search stores this raw value next to each cache
-/// entry to tell symmetry folds apart from plain revisits.
-Fingerprint fingerprintConfig(const Config &Config,
-                              bool CanonicalizeCores = true);
+/// Computes the structural fingerprint of \p Config. Any semantically
+/// visible difference — a binding to a different core, a window edge, a
+/// task parameter, a message delay — changes the value.
+Fingerprint fingerprintConfig(const Config &Config);
 
 /// Fingerprints one decomposition component for the component-level
 /// verdict cache. A component is simulated to the *global* hyperperiod
@@ -90,17 +81,15 @@ Fingerprint fingerprintConfig(const Config &Config,
 /// result is exactly fingerprintConfig(Sub) — a component that happens to
 /// cover the whole hyperperiod hashes like the standalone config it is;
 /// otherwise the horizon is folded in and the value diverges.
-Fingerprint fingerprintComponent(const Config &Sub, int64_t Horizon,
-                                 bool CanonicalizeCores = true);
+Fingerprint fingerprintComponent(const Config &Sub, int64_t Horizon);
 
 /// Structural *shape* of a config as seen by core::buildModel's compiled
 /// output: everything fingerprintConfig covers except the window
-/// positions, with raw (uncanonicalized) core indices, plus each
-/// partition's window count. Two configs with equal shapes compile to
-/// networks that differ only in the CoreScheduler window tables
-/// (w_start/w_end/w_part const arrays and the Config copy) — exactly
-/// what core::WindowRebinder can patch in place, so this is the arena
-/// key for NSA instance reuse.
+/// positions, of which only each partition's window count enters. Two
+/// configs with equal shapes compile to networks that differ only in the
+/// CoreScheduler window tables (w_start/w_end/w_part const arrays and the
+/// Config copy) — exactly what core::WindowRebinder can patch in place,
+/// so this is the arena key for NSA instance reuse.
 Fingerprint fingerprintShape(const Config &Config);
 
 } // namespace cfg

@@ -167,9 +167,8 @@ struct PlannedComp {
   const cfg::Config *Sub = nullptr;
   /// Component-to-candidate gid map; null for the whole-config component.
   const std::vector<int32_t> *GidMap = nullptr;
-  /// Cache key at the global horizon L, and the raw (uncanonicalized)
-  /// fingerprint that tells symmetry folds from plain revisits.
-  cfg::Fingerprint Canon, Raw;
+  /// Cache key at the global horizon L.
+  cfg::Fingerprint Key;
   /// The lookup stage's resolution: a cache entry (stable address — see
   /// VerdictCache.h) or an index into the round's simulation list.
   const VerdictCache::ComponentEntry *Hit = nullptr;
@@ -184,11 +183,8 @@ struct CandPlan {
   cfg::Decomposition D;
   /// Components holding a core the recorded move touched, and the rest.
   int Dirty = 0, Clean = 0;
-  /// Earlier candidate of the batch with the identical key list, whose
-  /// verdict this one copies; -1 = none.
-  int DupOf = -1;
   /// Verdict provenance for the "candidate" span: 0 = simulated, 1 = cache
-  /// hit, 2 = symmetry fold, 3 = intra-batch duplicate.
+  /// hit.
   int Src = 0;
   bool decomposed() const { return Comps.size() > 1; }
 };
@@ -197,14 +193,14 @@ struct CandPlan {
 /// key contributes the sub-config; every later one shares the verdict.
 struct Sim {
   const cfg::Config *Sub = nullptr;
-  cfg::Fingerprint Canon, Raw;
+  cfg::Fingerprint Key;
   int FirstCand = -1;
 };
 
 /// One round's evaluation statistics, added into the SearchResult (and
 /// the obs counters) when the round is flushed.
 struct RoundStats {
-  int Hits = 0, Misses = 0, Folds = 0, Dups = 0;
+  int Hits = 0, Misses = 0;
   int Decomposed = 0, CompHits = 0, CompMisses = 0, Dirty = 0, Clean = 0;
   int CompSims = 0, WholeSims = 0;
 };
@@ -239,7 +235,7 @@ struct RoundWork {
 /// because the simulation list is fixed by (Seed, BatchSize).
 struct SearchCounters {
   obs::Counter *Cand = nullptr, *Sim = nullptr, *Sched = nullptr;
-  obs::Counter *Hit = nullptr, *Miss = nullptr, *Fold = nullptr;
+  obs::Counter *Hit = nullptr, *Miss = nullptr;
   obs::Counter *Decomp = nullptr, *Comp = nullptr;
   obs::Counter *CompHit = nullptr, *CompMiss = nullptr;
   obs::Counter *Dirty = nullptr, *Clean = nullptr;
@@ -254,7 +250,6 @@ struct SearchCounters {
     Sched = &Reg.counter("schedtool.schedulable.seen");
     Hit = &Reg.counter("schedtool.cache.hits");
     Miss = &Reg.counter("schedtool.cache.misses");
-    Fold = &Reg.counter("schedtool.cache.folds");
     Decomp = &Reg.counter("schedtool.decomposed.candidates");
     Comp = &Reg.counter("schedtool.components.simulated");
     CompHit = &Reg.counter("schedtool.component_cache.hits");
@@ -364,9 +359,7 @@ void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
   if (!Plan.D.Decomposed) {
     Plan.Comps.resize(1);
     Plan.Comps[0].Sub = &C.Config;
-    Plan.Comps[0].Canon = cfg::fingerprintComponent(C.Config, Ctx.L);
-    Plan.Comps[0].Raw = cfg::fingerprintComponent(C.Config, Ctx.L,
-                                                  /*CanonicalizeCores=*/false);
+    Plan.Comps[0].Key = cfg::fingerprintComponent(C.Config, Ctx.L);
     return;
   }
 
@@ -393,53 +386,29 @@ void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
     PlannedComp &PC = Plan.Comps[K];
     PC.Sub = &Comp.Sub;
     PC.GidMap = &Comp.GidMap;
-    PC.Canon = cfg::fingerprintComponent(Comp.Sub, Ctx.L);
-    PC.Raw = cfg::fingerprintComponent(Comp.Sub, Ctx.L,
-                                       /*CanonicalizeCores=*/false);
+    PC.Key = cfg::fingerprintComponent(Comp.Sub, Ctx.L);
     ++(CompDirty[K] ? Plan.Dirty : Plan.Clean);
   }
 }
 
-bool sameKeys(const CandPlan &A, const CandPlan &B) {
-  if (A.Comps.size() != B.Comps.size())
-    return false;
-  for (size_t K = 0; K < A.Comps.size(); ++K)
-    if (A.Comps[K].Canon != B.Comps[K].Canon)
-      return false;
-  return true;
-}
-
 /// Lookup: in candidate order and against the pre-batch cache state, so
-/// the hit pattern is a pure function of the candidate sequence. A
-/// candidate whose key list repeats an earlier one of the batch is a
-/// duplicate and copies that verdict after the batch. Every other
+/// the hit pattern is a pure function of the candidate sequence. Every
 /// candidate resolves each component against the cache; misses join the
 /// round's simulation list, first occurrence winning the slot, so each
-/// distinct key is simulated once per round and shared.
+/// distinct key is simulated once per round and shared — also by a later
+/// candidate of the batch that repeats an earlier one.
 void lookupRound(SearchContext &Ctx, RoundWork &W) {
   RoundStats &St = W.Stats;
   for (size_t J = 0; J < W.Cands.size(); ++J) {
     if (!W.Cands[J].Valid)
       continue;
     CandPlan &Plan = W.Plans[J];
-    for (size_t I = 0; I < J; ++I)
-      if (W.Cands[I].Valid && sameKeys(W.Plans[I], Plan)) {
-        Plan.DupOf = static_cast<int>(I);
-        Plan.Src = 3;
-        ++St.Dups;
-        break;
-      }
-    if (Plan.DupOf >= 0)
-      continue;
-
     int Hits = 0;
-    bool Fold = false;
     for (PlannedComp &PC : Plan.Comps) {
       if (const VerdictCache::ComponentEntry *E =
-              Ctx.Cache.lookupComponent(PC.Canon)) {
+              Ctx.Cache.lookupComponent(PC.Key)) {
         PC.Hit = E;
         ++Hits;
-        Fold = Fold || E->Raw != PC.Raw;
         if (E->FromSnapshot) {
           // Warm-from-disk hit: counted outside SearchResult (the
           // provenance depends on resume, which the result must not).
@@ -449,9 +418,9 @@ void lookupRound(SearchContext &Ctx, RoundWork &W) {
         }
         continue;
       }
-      auto Ins = W.SimOf.emplace(PC.Canon, static_cast<int>(W.Sims.size()));
+      auto Ins = W.SimOf.emplace(PC.Key, static_cast<int>(W.Sims.size()));
       if (Ins.second) {
-        W.Sims.push_back({PC.Sub, PC.Canon, PC.Raw, static_cast<int>(J)});
+        W.Sims.push_back({PC.Sub, PC.Key, static_cast<int>(J)});
         ++(Plan.decomposed() ? St.CompSims : St.WholeSims);
       }
       PC.Sim = Ins.first->second;
@@ -466,10 +435,6 @@ void lookupRound(SearchContext &Ctx, RoundWork &W) {
     if (Hits == static_cast<int>(Plan.Comps.size())) {
       ++St.Hits;
       Plan.Src = 1;
-      if (Fold) {
-        ++St.Folds;
-        Plan.Src = 2;
-      }
     } else {
       ++St.Misses;
     }
@@ -512,17 +477,15 @@ void simulateRound(SearchContext &Ctx, RoundWork &W) {
 /// a serial-path fact; insertComponent itself rejects undecided verdicts)
 /// and assembles every candidate's verdict: a whole-config candidate takes
 /// its component's verdict, a decomposed one merges its parts
-/// (analysis::mergeComponentVerdicts), a duplicate copies its first
-/// occurrence. Verdicts are copied, never moved: a simulation may serve
-/// several candidates.
+/// (analysis::mergeComponentVerdicts). Verdicts are copied, never moved:
+/// a simulation may serve several candidates.
 void mergeRound(SearchContext &Ctx, RoundWork &W) {
   for (size_t I = 0; I < W.Sims.size(); ++I)
     if (W.SimEvals[I].Ok)
-      Ctx.Cache.insertComponent(W.Sims[I].Canon, W.Sims[I].Raw,
-                                W.SimEvals[I].V);
+      Ctx.Cache.insertComponent(W.Sims[I].Key, W.SimEvals[I].V);
   for (size_t J = 0; J < W.Cands.size(); ++J) {
     const CandPlan &Plan = W.Plans[J];
-    if (!W.Cands[J].Valid || Plan.DupOf >= 0)
+    if (!W.Cands[J].Valid)
       continue;
     Eval &E = W.Evals[J];
     std::vector<analysis::ComponentVerdict> Parts;
@@ -547,9 +510,6 @@ void mergeRound(SearchContext &Ctx, RoundWork &W) {
       E.V = analysis::mergeComponentVerdicts(
           Parts, W.Cands[J].Config.numTasks());
   }
-  for (size_t J = 0; J < W.Cands.size(); ++J)
-    if (W.Plans[J].DupOf >= 0)
-      W.Evals[J] = W.Evals[static_cast<size_t>(W.Plans[J].DupOf)];
 }
 
 /// Reduce: merges the round's verdicts, then walks the candidates in order
@@ -574,9 +534,9 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
     if (!E.Ok)
       return Error::failure(E.ErrMsg);
     // Per-candidate metadata span: component count, verdict provenance
-    // (src: 0 sim / 1 hit / 2 fold / 3 dup), stop reason, badness. It
-    // rides the serial reduce, so its args — like the counters — are
-    // identical for any worker count.
+    // (src: 0 sim / 1 hit), stop reason, badness. It rides the serial
+    // reduce, so its args — like the counters — are identical for any
+    // worker count.
     obs::Span CandSpan("candidate", "search");
     CandSpan.arg("comps", static_cast<int64_t>(W.Plans[J].Comps.size()));
     CandSpan.arg("src", W.Plans[J].Src);
@@ -653,8 +613,6 @@ void flushRound(SearchContext &Ctx, const RoundWork &W, SearchResult &Res) {
   const RoundStats &St = W.Stats;
   Res.CacheHits += St.Hits;
   Res.CacheMisses += St.Misses;
-  Res.SymmetryFolds += St.Folds;
-  Res.DuplicateCandidates += St.Dups;
   Res.DecomposedCandidates += St.Decomposed;
   Res.ComponentCacheHits += St.CompHits;
   Res.ComponentCacheMisses += St.CompMisses;
@@ -663,10 +621,8 @@ void flushRound(SearchContext &Ctx, const RoundWork &W, SearchResult &Res) {
   Res.ComponentsSimulated += St.CompSims;
   Res.SimulationsRun += St.WholeSims;
   Res.Log.push_back(formatString(
-      "round %d: cache %d hits / %d misses / %d folds / %d dups "
-      "(%d entries)",
-      W.Index, St.Hits, St.Misses, St.Folds, St.Dups,
-      static_cast<int>(Ctx.Cache.componentSize())));
+      "round %d: cache %d hits / %d misses (%d entries)", W.Index, St.Hits,
+      St.Misses, static_cast<int>(Ctx.Cache.componentSize())));
   Res.Log.push_back(formatString(
       "round %d: decomposed %d/%d candidates; component cache %d hits / "
       "%d misses; incremental %d dirty / %d clean components",
@@ -678,7 +634,6 @@ void flushRound(SearchContext &Ctx, const RoundWork &W, SearchResult &Res) {
   const SearchCounters &C = Ctx.C;
   bump(C.Hit, St.Hits);
   bump(C.Miss, St.Misses);
-  bump(C.Fold, St.Folds);
   bump(C.Decomp, St.Decomposed);
   bump(C.Comp, St.CompSims);
   bump(C.CompHit, St.CompHits);
@@ -725,6 +680,32 @@ void writeCheckpoint(const SearchContext &Ctx, const LoopState &LS,
   bump(Ctx.C.Ckpt, 1);
 }
 
+/// Why the checkpointed loop state of \p Snap cannot continue a search over
+/// \p Base, or "" when it can. The strategy indexes Boost by partition and
+/// Cores by a partition's core, so every count must be the base's and
+/// every core index in range.
+std::string misfit(const Snapshot &Snap, const cfg::Config &Base) {
+  const cfg::Config &C = Snap.Current;
+  if (Snap.Iter < 0 || Snap.NextRound < 0)
+    return "negative loop position";
+  if (C.Cores.size() != Base.Cores.size())
+    return "core count differs from the base";
+  if (C.Partitions.size() != Base.Partitions.size())
+    return "partition count differs from the base";
+  if (Snap.Boost.size() != C.Partitions.size())
+    return "boost count differs from the partition count";
+  for (size_t P = 0; P < C.Partitions.size(); ++P) {
+    if (C.Partitions[P].Tasks.size() != Base.Partitions[P].Tasks.size())
+      return formatString("partition %zu's task count differs from the base",
+                          P);
+    int Core = C.Partitions[P].Core;
+    if (Core < 0 || static_cast<size_t>(Core) >= C.Cores.size())
+      return formatString("partition %zu is bound to core %d of %zu", P, Core,
+                          C.Cores.size());
+  }
+  return "";
+}
+
 /// Restores the loop state and partial result of a checkpointed search,
 /// and seeds the cache. Returns true when the snapshot holds a finished
 /// search: its result is final, and replaying the finding round would
@@ -745,6 +726,11 @@ Result<bool> resumeFrom(SearchContext &Ctx, const Snapshot &Snap,
                        Snap.BatchSize, Snap.BaseCrc,
                        static_cast<unsigned long long>(Problem.Seed), Batch,
                        Ctx.BaseCrc));
+    std::string Misfit = misfit(Snap, Problem.Base);
+    if (!Misfit.empty())
+      return Error::failure(ErrorCode::SnapshotCorrupt,
+                            "snapshot search state does not fit the base: " +
+                                Misfit);
     // The full loop state: incumbent, boosts, the RNG mid-stream, the
     // partial result, and the loop position. The remaining rounds then
     // recompute exactly what the uninterrupted run computed.
@@ -756,15 +742,12 @@ Result<bool> resumeFrom(SearchContext &Ctx, const Snapshot &Snap,
     Res = Snap.Res;
     // The strategy resumes mid-stream too: a snapshot written under a
     // different metaheuristic must not silently continue as this one.
-    // Snapshots without a name were always the local strategy.
-    std::string SnapStrat =
-        Snap.StrategyName.empty() ? "local" : Snap.StrategyName;
-    if (SnapStrat != Strat.name())
+    if (Snap.StrategyName != Strat.name())
       return Error::failure(
           ErrorCode::SnapshotMismatch,
           formatString("snapshot strategy '%s' does not match this "
                        "search's strategy '%s'",
-                       SnapStrat.c_str(), Strat.name()));
+                       Snap.StrategyName.c_str(), Strat.name()));
     if (!Strat.loadState(Snap.StrategyState.data(), Snap.StrategyState.size()))
       return Error::failure(ErrorCode::SnapshotCorrupt,
                             "malformed strategy state in snapshot");
@@ -906,9 +889,6 @@ void swa::schedtool::fillSearchReport(obs::RunReport &Report,
                   static_cast<uint64_t>(Res.SchedulableSeen));
   Report.addCount("cache.hits", static_cast<uint64_t>(Res.CacheHits));
   Report.addCount("cache.misses", static_cast<uint64_t>(Res.CacheMisses));
-  Report.addCount("cache.folds", static_cast<uint64_t>(Res.SymmetryFolds));
-  Report.addCount("cache.duplicates",
-                  static_cast<uint64_t>(Res.DuplicateCandidates));
   int Lookups = Res.CacheHits + Res.CacheMisses;
   if (Lookups > 0)
     Report.addStat("cache.hit_rate",

@@ -133,18 +133,15 @@ struct SearchResult {
   /// resolved against one verdict cache (VerdictCache.h). All counts are
   /// serial-path facts, identical for any Workers value.
   ///
-  /// Candidates: DuplicateCandidates repeat the component key list of an
-  /// earlier candidate of the same batch and copy its verdict without a
-  /// lookup. Every other valid candidate is a CacheHit (every component
-  /// served by the cache — for a whole-config candidate, a revisit or a
-  /// symmetric relabeling of an earlier one) or a CacheMiss (at least one
-  /// component needed a simulation). SymmetryFolds counts the hits that
-  /// only exist because of core-relabeling canonicalization.
+  /// Candidates: every valid candidate is a CacheHit (every component
+  /// served by the cache — for a whole-config candidate, a revisit of an
+  /// earlier round's config) or a CacheMiss (at least one component was
+  /// not in the cache when its round began). A candidate that repeats an
+  /// earlier one of its round resolves the same way, and a miss shares
+  /// the earlier candidate's simulation.
   int CacheHits = 0;
   int CacheMisses = 0;
-  int SymmetryFolds = 0;
-  int DuplicateCandidates = 0;
-  /// Non-duplicate candidates that split into two or more components.
+  /// Candidates that split into two or more components.
   /// The component statistics below count only their components: cache
   /// hits and misses (Hits + Misses is their total component count), and
   /// the components holding a core the strategy's recorded move touched
@@ -187,7 +184,7 @@ void synthesizeWindows(cfg::Config &Config,
 Result<SearchResult> searchConfiguration(const SearchProblem &Problem);
 
 /// Populates \p Report with the search outcome: evaluation counts, cache
-/// hit/miss/fold numbers and rates, component stats, the StopReason
+/// hit/miss numbers and rates, component stats, the StopReason
 /// taxonomy, and candidates/s when \p ElapsedSec is positive. The numbers
 /// are read from \p Res alone, so the report matches the stats the search
 /// prints whether or not observability was on.

@@ -279,18 +279,14 @@ bool decodeVerdict(Dec &D, analysis::VerdictOutcome &V) {
 }
 
 void encodeCacheRecord(Enc &E, const Snapshot::CacheRecord &R) {
-  E.u64(R.Canon.Hi);
-  E.u64(R.Canon.Lo);
-  E.u64(R.Raw.Hi);
-  E.u64(R.Raw.Lo);
+  E.u64(R.Key.Hi);
+  E.u64(R.Key.Lo);
   encodeVerdict(E, R.Verdict);
 }
 
 bool decodeCacheRecord(Dec &D, Snapshot::CacheRecord &R) {
-  R.Canon.Hi = D.u64();
-  R.Canon.Lo = D.u64();
-  R.Raw.Hi = D.u64();
-  R.Raw.Lo = D.u64();
+  R.Key.Hi = D.u64();
+  R.Key.Lo = D.u64();
   return decodeVerdict(D, R.Verdict) && D.consumed();
 }
 
@@ -309,8 +305,6 @@ void encodeSearchResult(Enc &E, const SearchResult &R) {
   E.u8(R.Cancelled ? 1 : 0);
   E.i32(R.CacheHits);
   E.i32(R.CacheMisses);
-  E.i32(R.SymmetryFolds);
-  E.i32(R.DuplicateCandidates);
   E.i32(R.DecomposedCandidates);
   E.i32(R.ComponentsSimulated);
   E.i32(R.ComponentCacheHits);
@@ -343,8 +337,6 @@ bool decodeSearchResult(Dec &D, SearchResult &R) {
   R.Cancelled = D.u8() != 0;
   R.CacheHits = D.i32();
   R.CacheMisses = D.i32();
-  R.SymmetryFolds = D.i32();
-  R.DuplicateCandidates = D.i32();
   R.DecomposedCandidates = D.i32();
   R.ComponentsSimulated = D.i32();
   R.ComponentCacheHits = D.i32();
@@ -413,19 +405,19 @@ void Snapshot::captureCache(const VerdictCache &Cache) {
   ComponentEntries.clear();
   Cache.forEachComponent([&](const cfg::Fingerprint &Key,
                              const VerdictCache::ComponentEntry &E) {
-    ComponentEntries.push_back({Key, E.Raw, E.Verdict});
+    ComponentEntries.push_back({Key, E.Verdict});
   });
   std::sort(ComponentEntries.begin(), ComponentEntries.end(),
             [](const CacheRecord &A, const CacheRecord &B) {
-              return A.Canon.Hi != B.Canon.Hi ? A.Canon.Hi < B.Canon.Hi
-                                              : A.Canon.Lo < B.Canon.Lo;
+              return A.Key.Hi != B.Key.Hi ? A.Key.Hi < B.Key.Hi
+                                          : A.Key.Lo < B.Key.Lo;
             });
 }
 
 uint64_t Snapshot::seedCache(VerdictCache &Cache) const {
   size_t Before = Cache.componentSize();
   for (const CacheRecord &R : ComponentEntries)
-    Cache.insertComponentSnapshot(R.Canon, R.Raw, R.Verdict);
+    Cache.insertComponentSnapshot(R.Key, R.Verdict);
   return Cache.componentSize() - Before;
 }
 

@@ -7,7 +7,7 @@
 /// \file
 /// The durable-search snapshot: a versioned, checksummed, length-prefixed
 /// binary serialization of a schedtool::VerdictCache (its entries under
-/// their canonical component fingerprints) plus the
+/// their component fingerprints) plus the
 /// in-progress state of a ConfigSearch (round index, RNG stream state,
 /// adaptive Current/Boost, the partial SearchResult). Written through
 /// support::AtomicFile, so a crash at any byte leaves either the old
@@ -81,14 +81,16 @@ struct Snapshot {
   /// search-state payload (stateful metaheuristics resume mid-stream).
   /// Version 3 keeps one level of cache entries: the config-entry record
   /// kind is gone, since a whole config is the one-component case of the
-  /// component cache. Older files are rejected with a typed skew error
-  /// and degrade to a cold start, per the reader contract above.
-  static constexpr uint32_t FormatVersion = 3;
+  /// component cache. Version 4 keys entries by the plain structural
+  /// fingerprint (no core relabeling, one key per record) and drops the
+  /// fold and duplicate counters from the search result. Older files are
+  /// rejected with a typed skew error and degrade to a cold start, per
+  /// the reader contract above.
+  static constexpr uint32_t FormatVersion = 4;
 
   /// One serialized verdict-cache entry.
   struct CacheRecord {
-    cfg::Fingerprint Canon; ///< Cache key (canonical fingerprint).
-    cfg::Fingerprint Raw;   ///< Raw fingerprint (symmetry-fold detection).
+    cfg::Fingerprint Key; ///< Cache key (cfg::fingerprintComponent).
     analysis::VerdictOutcome Verdict;
   };
   std::vector<CacheRecord> ComponentEntries;
@@ -98,7 +100,7 @@ struct Snapshot {
   bool HasSearchState = false;
   /// Identity guard: a snapshot resumes only the (seed, batch, base
   /// config) search that wrote it. BaseCrc is the CRC32 of the encoded
-  /// SearchProblem::Base, cheap and canonicalization-free.
+  /// SearchProblem::Base.
   uint64_t Seed = 0;
   int32_t BatchSize = 0;
   uint32_t BaseCrc = 0;
@@ -114,15 +116,15 @@ struct Snapshot {
   /// stop-reason taxonomy. Restoring it verbatim is what makes a resumed
   /// run's final SearchResult byte-identical to the uninterrupted one.
   SearchResult Res;
-  /// The metaheuristic that wrote the checkpoint (Strategy::name(), ""
-  /// reads as "local") and its opaque serialized state — a search can
-  /// only resume under the same strategy (else SnapshotMismatch), and
-  /// the strategy resumes mid-stream like the RNG does.
+  /// The metaheuristic that wrote the checkpoint (Strategy::name()) and
+  /// its opaque serialized state — a search can only resume under the
+  /// same strategy (else SnapshotMismatch), and the strategy resumes
+  /// mid-stream like the RNG does.
   std::string StrategyName;
   std::string StrategyState;
 
-  /// Populates ComponentEntries from \p Cache (sorted by canonical
-  /// fingerprint; deterministic bytes).
+  /// Populates ComponentEntries from \p Cache (sorted by fingerprint;
+  /// deterministic bytes).
   void captureCache(const VerdictCache &Cache);
 
   /// Inserts every entry into \p Cache, marked warm-from-disk. Existing
@@ -133,7 +135,7 @@ struct Snapshot {
 
 /// CRC32 of the canonical little-endian encoding of \p Base — the
 /// config component of a snapshot's identity triple (Snapshot::BaseCrc).
-/// Cheap (no canonicalization) and host-independent.
+/// Cheap and host-independent.
 uint32_t snapshotBaseCrc(const cfg::Config &Base);
 
 /// Serializes \p S and atomically replaces \p Path (write-temp + fsync +

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A thread-safe verdict memo for the config search, keyed by canonical
+/// A thread-safe verdict memo for the config search, keyed by structural
 /// component fingerprints (cfg::fingerprintComponent — a sub-config keyed
 /// together with the global horizon it is simulated to).
 ///
@@ -15,8 +15,8 @@
 /// analysis::mergeComponentVerdicts stitches the whole-config verdict
 /// from cached parts. A candidate that does not decompose is one
 /// component — the whole config at its own hyperperiod — whose key is
-/// exactly cfg::fingerprintConfig, so revisited and symmetry-equivalent
-/// whole configs hit the same map (and callers outside the search, like
+/// exactly cfg::fingerprintConfig, so a revisited whole config hits the
+/// same map (and callers outside the search, like
 /// analysis::Sensitivity, key whole configs by fingerprintConfig). The
 /// badness the search ranks by (Horizon - FirstMissTime + 1) is derived
 /// from the stored FirstMissTime, so hits reproduce it exactly.
@@ -64,11 +64,6 @@ public:
   /// inside the *candidate*, not on the component itself, so the caller
   /// supplies its own GidMap when merging.
   struct ComponentEntry {
-    /// The *raw* (non-canonicalized) fingerprint of the component that
-    /// produced the verdict. A later lookup whose raw fingerprint
-    /// differs hit through core-relabeling canonicalization — a
-    /// symmetry fold, counted separately from plain revisits.
-    cfg::Fingerprint Raw;
     analysis::VerdictOutcome Verdict;
     /// True when the entry arrived via insertComponentSnapshot
     /// (warm-from-disk): a hit on it is a `verdict_cache.snapshot_hits`
@@ -89,12 +84,11 @@ public:
   /// Inserts \p Verdict under \p Key; first insert wins, undecided
   /// verdicts are rejected.
   void insertComponent(const cfg::Fingerprint &Key,
-                       const cfg::Fingerprint &Raw,
                        const analysis::VerdictOutcome &Verdict) {
     if (!Verdict.decided())
       return;
     std::lock_guard<std::mutex> Lock(M);
-    auto R = CompMap.emplace(Key, ComponentEntry{Raw, Verdict});
+    auto R = CompMap.emplace(Key, ComponentEntry{Verdict});
     assert((R.second || sameVerdict(R.first->second.Verdict, Verdict)) &&
            "double-insert with a differing verdict: fingerprint is not a "
            "congruence");
@@ -106,12 +100,11 @@ public:
   /// a cache that already decided a key is a no-op (and never flips an
   /// existing entry's provenance).
   void insertComponentSnapshot(const cfg::Fingerprint &Key,
-                               const cfg::Fingerprint &Raw,
                                const analysis::VerdictOutcome &Verdict) {
     if (!Verdict.decided())
       return;
     std::lock_guard<std::mutex> Lock(M);
-    CompMap.emplace(Key, ComponentEntry{Raw, Verdict, /*FromSnapshot=*/true});
+    CompMap.emplace(Key, ComponentEntry{Verdict, /*FromSnapshot=*/true});
   }
 
   /// Snapshot export: invokes \p Fn(Key, ComponentEntry) for every entry

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Unit tests for the search-acceleration substrate of the config search:
-/// the canonical structural fingerprint (cache key), the message-graph
+/// the structural fingerprint (cache key), the message-graph
 /// decomposition, and the component-verdict merge.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,7 +28,7 @@ namespace {
 
 /// Two modules, each with two same-type cores; four single-task FPPS
 /// partitions, initially unbound and windowless. The playground for
-/// binding-symmetry tests.
+/// binding tests.
 cfg::Config symmetricBase() {
   cfg::Config C;
   C.Name = "sym";
@@ -52,26 +52,20 @@ cfg::Config symmetricBase() {
 
 } // namespace
 
-TEST(Fingerprint, SymmetricBindingsFoldToOneKey) {
+TEST(Fingerprint, SameClassRelabelingChangesTheKey) {
   cfg::Config A = symmetricBase();
   A.Partitions[0].Core = 0;
   A.Partitions[1].Core = 1;
   A.Partitions[2].Core = 2;
   A.Partitions[3].Core = 3;
 
-  // Swap the two module-0 cores and, independently, the two module-1
-  // cores: a pure relabeling within each (Module, CoreType) class.
-  cfg::Config B = symmetricBase();
+  // Swap the two module-0 cores: a relabeling within one (Module,
+  // CoreType) class. The key hashes actual core indices, so the two
+  // bindings are different keys (and different cache entries).
+  cfg::Config B = A;
   B.Partitions[0].Core = 1;
   B.Partitions[1].Core = 0;
-  B.Partitions[2].Core = 3;
-  B.Partitions[3].Core = 2;
-
-  EXPECT_EQ(cfg::fingerprintConfig(A), cfg::fingerprintConfig(B));
-  // The raw (non-canonical) fingerprints must differ — that difference is
-  // how the search counts symmetry folds.
-  EXPECT_NE(cfg::fingerprintConfig(A, /*CanonicalizeCores=*/false),
-            cfg::fingerprintConfig(B, /*CanonicalizeCores=*/false));
+  EXPECT_NE(cfg::fingerprintConfig(A), cfg::fingerprintConfig(B));
 }
 
 TEST(Fingerprint, CrossClassRebindChangesTheKey) {
@@ -80,7 +74,7 @@ TEST(Fingerprint, CrossClassRebindChangesTheKey) {
     A.Partitions[static_cast<size_t>(I)].Core = I;
   cfg::Config B = A;
   // Core 2 lives in module 1: moving p0 there changes message locality
-  // and is NOT a symmetry.
+  // and changes the core class.
   B.Partitions[0].Core = 2;
   EXPECT_NE(cfg::fingerprintConfig(A), cfg::fingerprintConfig(B));
 }
@@ -379,24 +373,6 @@ TEST(ComponentFingerprint, ForeignHorizonDivergesFromStandaloneKey) {
   EXPECT_NE(At8, cfg::fingerprintComponent(C0, 16));
   // At its own hyperperiod the standalone identity holds here too.
   EXPECT_EQ(cfg::fingerprintComponent(C0, 4), cfg::fingerprintConfig(C0));
-}
-
-TEST(ComponentFingerprint, CoreRelabelingFoldsLikeTheConfigKey) {
-  // The canonical component key folds core relabelings exactly like
-  // fingerprintConfig; the raw variant keeps them apart (the symmetry-
-  // fold statistic relies on the distinction).
-  cfg::Config A = symmetricBase();
-  A.Partitions[0].Core = 0;
-  A.Partitions[1].Core = 0;
-  A.Partitions[2].Core = 2;
-  A.Partitions[3].Core = 2;
-  cfg::Config B = A;
-  B.Partitions[0].Core = 1; // same-class sibling core
-  B.Partitions[1].Core = 1;
-  int64_t L = A.hyperperiod() * 2;
-  EXPECT_EQ(cfg::fingerprintComponent(A, L), cfg::fingerprintComponent(B, L));
-  EXPECT_NE(cfg::fingerprintComponent(A, L, /*CanonicalizeCores=*/false),
-            cfg::fingerprintComponent(B, L, /*CanonicalizeCores=*/false));
 }
 
 TEST(ShapeFingerprint, WindowPlacementIsNotPartOfTheShape) {

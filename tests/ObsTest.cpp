@@ -605,7 +605,6 @@ TEST(ObsEngine, SearchCountersMatchResultStatsOnFoundRun) {
   EXPECT_EQ(Counter("schedtool.schedulable.seen"), U64(Res->SchedulableSeen));
   EXPECT_EQ(Counter("schedtool.cache.hits"), U64(Res->CacheHits));
   EXPECT_EQ(Counter("schedtool.cache.misses"), U64(Res->CacheMisses));
-  EXPECT_EQ(Counter("schedtool.cache.folds"), U64(Res->SymmetryFolds));
   EXPECT_EQ(Counter("schedtool.decomposed.candidates"),
             U64(Res->DecomposedCandidates));
   EXPECT_EQ(Counter("schedtool.components.simulated"),
@@ -788,7 +787,6 @@ TEST(ObsRunReport, SearchReportMatchesSearchResult) {
   };
   Expect("\"cache.hits\":" + std::to_string(Res->CacheHits));
   Expect("\"cache.misses\":" + std::to_string(Res->CacheMisses));
-  Expect("\"cache.folds\":" + std::to_string(Res->SymmetryFolds));
   Expect("\"candidates.evaluated\":" +
          std::to_string(Res->ConfigurationsEvaluated));
   Expect("\"candidates_per_sec\":");
@@ -811,8 +809,7 @@ std::string renderSearchResult(const schedtool::SearchResult &R) {
   OS << R.Found << ' ' << R.ConfigurationsEvaluated << ' '
      << R.SchedulableSeen << ' ' << R.BestBadness << ' '
      << R.CandidatesSkipped << ' ' << R.Cancelled << ' ' << R.CacheHits
-     << ' ' << R.CacheMisses << ' ' << R.SymmetryFolds << ' '
-     << R.DuplicateCandidates << ' ' << R.DecomposedCandidates << ' '
+     << ' ' << R.CacheMisses << ' ' << R.DecomposedCandidates << ' '
      << R.ComponentsSimulated << ' ' << R.SimulationsRun << '\n';
   for (int C : R.StopReasonCounts)
     OS << C << ' ';

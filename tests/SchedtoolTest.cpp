@@ -418,8 +418,6 @@ TEST(Search, DecomposedResultIndependentOfWorkerCount) {
     expectSameResult(*Serial, *Parallel);
     EXPECT_EQ(Serial->CacheHits, Parallel->CacheHits);
     EXPECT_EQ(Serial->CacheMisses, Parallel->CacheMisses);
-    EXPECT_EQ(Serial->SymmetryFolds, Parallel->SymmetryFolds);
-    EXPECT_EQ(Serial->DuplicateCandidates, Parallel->DuplicateCandidates);
     EXPECT_EQ(Serial->DecomposedCandidates, Parallel->DecomposedCandidates);
     EXPECT_EQ(Serial->ComponentsSimulated, Parallel->ComponentsSimulated);
     EXPECT_EQ(Serial->SimulationsRun, Parallel->SimulationsRun);
@@ -449,8 +447,7 @@ TEST(Search, CacheHitsHappenAndAreCounted) {
   // At high utilization the boost vector saturates after a few rounds and
   // candidate 0 (the unperturbed adaptive state) starts repeating — the
   // cache must catch those revisits, and the statistics must be coherent:
-  // every decided candidate was a hit, a miss that simulated, or an
-  // intra-batch duplicate of one.
+  // every decided candidate was a hit or a miss.
   SearchProblem Problem;
   Problem.Base = unboundProblem(0.8, 99);
   Problem.Seed = 29;
@@ -462,7 +459,7 @@ TEST(Search, CacheHitsHappenAndAreCounted) {
   EXPECT_GT(Res->CacheHits, 0);
   EXPECT_GT(Res->CacheMisses, 0);
   EXPECT_EQ(Res->ConfigurationsEvaluated,
-            Res->CacheHits + Res->CacheMisses + Res->DuplicateCandidates);
+            Res->CacheHits + Res->CacheMisses);
   bool StatsLogged = false;
   for (const std::string &Line : Res->Log)
     if (Line.rfind("round ", 0) == 0 &&
@@ -540,35 +537,35 @@ uint32_t resultDigest(const SearchResult &R) {
   return support::crc32(Bytes.data(), Bytes.size());
 }
 
-} // namespace
+/// CRC-32 of the verdict stream alone: Found, Best, BestBadness, the
+/// trajectory and every "iter" log line. Cache and simulation statistics
+/// and their round lines are left out, so a change to how verdicts are
+/// reused keeps this digest while it may move resultDigest's.
+uint32_t verdictDigest(const SearchResult &R) {
+  std::string S = std::to_string(R.Found) + ' ' +
+                  std::to_string(snapshotBaseCrc(R.Best)) + ' ' +
+                  std::to_string(R.BestBadness) + '\n';
+  for (const auto &[Iter, Badness] : R.BestTrajectory)
+    S += std::to_string(Iter) + ':' + std::to_string(Badness) + ' ';
+  for (const std::string &Line : R.Log)
+    if (Line.rfind("iter ", 0) == 0)
+      S += '\n' + Line;
+  return support::crc32(S.data(), S.size());
+}
 
-TEST(Search, ResultBytesArePinned) {
-  // CRC-32 of the encoded SearchResult — verdict stream, best layout and
-  // every statistic, dirty/clean counts included — for 12 seeds in each of
-  // a decoupled, a sparse and a coupled shape. Recorded before candidate
-  // planning moved to cfg::decomposeConfig; any change to how the search
-  // evaluates candidates must keep every byte.
-  struct Shape {
-    double MessageProbability;
-    std::vector<uint32_t> Digests;
-  };
-  const std::vector<Shape> Shapes = {
-      {0.0,
-       {0x07c9d22fu, 0xa606aa88u, 0x6592a26cu, 0x7f0a31d6u, 0x61a97c0bu,
-        0xe35b5605u, 0xb2a45997u, 0x83a50738u, 0x6b2e813du, 0x17153cd0u,
-        0xa47c43cfu, 0x9027eecbu}},
-      {0.15,
-       {0xf23ac28bu, 0x4f614ec6u, 0x6eef6655u, 0xa6584c61u, 0xbc7f650bu,
-        0xe35b5605u, 0x0c0d834du, 0x619f30bfu, 0xdf3ab991u, 0x143fc48fu,
-        0x59855885u, 0x5b46d871u}},
-      {0.5,
-       {0x6ba795f9u, 0xf1f1ca02u, 0xc860e52eu, 0x9388d074u, 0x4152963eu,
-        0xe35b5605u, 0xbae67ebcu, 0x64a948d9u, 0x99055623u, 0xfe81dca4u,
-        0x1d305aa6u, 0x27f2465au}},
-  };
+struct PinnedShape {
+  double MessageProbability;
+  std::vector<uint32_t> Digests;
+};
+
+/// Runs 12 seeds of each shape (120 iterations) at Workers 1, 2 and 4 and
+/// expects \p Digest of every result to equal the pinned value; prints
+/// the actual table on a mismatch.
+void expectPinned(const std::vector<PinnedShape> &Shapes,
+                  uint32_t (*Digest)(const SearchResult &)) {
   std::string Actual;
   bool AllMatch = true;
-  for (const Shape &Sh : Shapes) {
+  for (const PinnedShape &Sh : Shapes) {
     Actual += "{" + std::to_string(Sh.MessageProbability) + ", {";
     for (uint64_t K = 0; K < 12; ++K) {
       SearchProblem Problem;
@@ -584,7 +581,7 @@ TEST(Search, ResultBytesArePinned) {
         Problem.Workers = Workers;
         auto Res = searchConfiguration(Problem);
         ASSERT_TRUE(Res.ok()) << Res.error().message();
-        uint32_t D = resultDigest(*Res);
+        uint32_t D = Digest(*Res);
         if (Workers == 1) {
           Serial = D;
           char Buf[16];
@@ -602,6 +599,55 @@ TEST(Search, ResultBytesArePinned) {
   }
   if (!AllMatch)
     ADD_FAILURE() << "digests:\n" << Actual;
+}
+
+} // namespace
+
+TEST(Search, ResultBytesArePinned) {
+  // CRC-32 of the encoded SearchResult — verdict stream, best layout and
+  // every statistic, dirty/clean counts included — for 12 seeds in each of
+  // a decoupled, a sparse and a coupled shape. Re-recorded when the cache
+  // stopped folding core relabelings and intra-batch duplicates (the
+  // verdict stream, pinned below, held); any change to how the search
+  // evaluates candidates must keep every byte.
+  expectPinned(
+      {
+          {0.0,
+           {0x548c746du, 0x8ef2adcdu, 0x6e1322b0u, 0x74226250u, 0x6787ff03u,
+            0xe7ab4639u, 0x15d8953cu, 0xa43d77bdu, 0x058c4bb8u, 0x18fd8e8cu,
+            0xffcb9b11u, 0x5f88f941u}},
+          {0.15,
+           {0x59f4ca33u, 0x51252329u, 0xa3b5f603u, 0x432058b3u, 0x75b88b40u,
+            0xe7ab4639u, 0x7be8ef99u, 0x8c1f95eau, 0x7a8f45a8u, 0x587f1366u,
+            0xa68f044du, 0xe8c0d393u}},
+          {0.5,
+           {0xddd4ab4eu, 0xfbe875dcu, 0x16aa364cu, 0x27f34497u, 0xfc851956u,
+            0xe7ab4639u, 0x0ff167e1u, 0xaf606871u, 0xe5ee8836u, 0xfab5af8fu,
+            0x78b2fa99u, 0x9c6be9cbu}},
+      },
+      resultDigest);
+}
+
+TEST(Search, VerdictStreamIsPinned) {
+  // The same 36 searches, pinned on the verdict stream only. Recorded
+  // while the cache still folded core relabelings and copied intra-batch
+  // duplicates; keying by the plain fingerprint kept every verdict.
+  expectPinned(
+      {
+          {0.0,
+           {0xbe5ee690u, 0xa16ab2f2u, 0x6038ae82u, 0x2e593f4du, 0x0a195bbeu,
+            0xf7ec776du, 0x02887b28u, 0x277d68a4u, 0x7e3e58e2u, 0xc94ee8f3u,
+            0x907bc43bu, 0x1621d5f6u}},
+          {0.15,
+           {0x2627e3e7u, 0xfb658e5au, 0xb8404c42u, 0xf6b866d5u, 0xeac7881du,
+            0xf7ec776du, 0x302ff9dbu, 0xb839bd79u, 0x5c09f7e0u, 0x9fe6df1du,
+            0xf4853baeu, 0x6e4e4bd4u}},
+          {0.5,
+           {0xa00e1399u, 0xa0935e7eu, 0x04b80047u, 0x00b448f0u, 0x91b96248u,
+            0xf7ec776du, 0xe7818c89u, 0xcb1ea818u, 0xea3386acu, 0xf92c27a4u,
+            0x7f55cc89u, 0x4e01b6ccu}},
+      },
+      verdictDigest);
 }
 
 namespace {

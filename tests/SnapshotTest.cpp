@@ -112,11 +112,10 @@ Snapshot sampleSnapshot() {
   S.Res.StopReasonCounts[static_cast<size_t>(nsa::StopReason::Completed)] = 1;
   S.Res.Log = {"iter 0: unschedulable (badness 100, first miss at t=1, "
                "1 tasks)",
-               "round 0: cache 0 hits / 4 misses / 0 folds / 0 dups "
-               "(4 entries)"};
-  S.ComponentEntries.push_back({{1, 2}, {1, 3}, missVerdict(10, 0)});
-  S.ComponentEntries.push_back({{5, 6}, {5, 6}, okVerdict()});
-  S.ComponentEntries.push_back({{7, 8}, {7, 9}, missVerdict(20, 1)});
+               "round 0: cache 0 hits / 4 misses (4 entries)"};
+  S.ComponentEntries.push_back({{1, 2}, missVerdict(10, 0)});
+  S.ComponentEntries.push_back({{5, 6}, okVerdict()});
+  S.ComponentEntries.push_back({{7, 8}, missVerdict(20, 1)});
   return S;
 }
 
@@ -191,8 +190,7 @@ void expectSameSnapshot(const Snapshot &A, const Snapshot &B) {
   expectSameConfig(A.Res.Best, B.Res.Best);
   ASSERT_EQ(A.ComponentEntries.size(), B.ComponentEntries.size());
   for (size_t I = 0; I < A.ComponentEntries.size(); ++I) {
-    EXPECT_EQ(A.ComponentEntries[I].Canon, B.ComponentEntries[I].Canon);
-    EXPECT_EQ(A.ComponentEntries[I].Raw, B.ComponentEntries[I].Raw);
+    EXPECT_EQ(A.ComponentEntries[I].Key, B.ComponentEntries[I].Key);
     expectSameVerdict(A.ComponentEntries[I].Verdict,
                       B.ComponentEntries[I].Verdict);
   }
@@ -375,7 +373,7 @@ TEST(Snapshot, RoundTripsEveryFieldAndIsByteStable) {
 
 TEST(Snapshot, CacheOnlySnapshotRoundTrips) {
   Snapshot S;
-  S.ComponentEntries.push_back({{1, 2}, {1, 2}, okVerdict()});
+  S.ComponentEntries.push_back({{1, 2}, okVerdict()});
   std::string Path = testPath("cacheonly.bin");
   ASSERT_FALSE(saveSnapshot(S, Path).isFailure());
   Result<Snapshot> L = loadSnapshot(Path);
@@ -391,12 +389,12 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
   analysis::VerdictOutcome V1 = missVerdict(10, 0), V2 = okVerdict();
   analysis::VerdictOutcome V3 = missVerdict(30, 2);
   VerdictCache A, B;
-  A.insertComponent({1, 1}, {1, 1}, V1);
-  A.insertComponent({2, 2}, {2, 9}, V2);
-  A.insertComponent({3, 3}, {3, 3}, V3);
-  B.insertComponent({3, 3}, {3, 3}, V3);
-  B.insertComponent({2, 2}, {2, 9}, V2);
-  B.insertComponent({1, 1}, {1, 1}, V1);
+  A.insertComponent({1, 1}, V1);
+  A.insertComponent({2, 2}, V2);
+  A.insertComponent({3, 3}, V3);
+  B.insertComponent({3, 3}, V3);
+  B.insertComponent({2, 2}, V2);
+  B.insertComponent({1, 1}, V1);
 
   Snapshot SA, SB;
   SA.captureCache(A);
@@ -411,14 +409,14 @@ TEST(Snapshot, BytesAreAPureFunctionOfCacheContents) {
 
 TEST(Snapshot, SeedCacheMarksProvenanceAndNeverOverwrites) {
   Snapshot S;
-  S.ComponentEntries.push_back({{1, 1}, {1, 1}, missVerdict(10, 0)});
-  S.ComponentEntries.push_back({{2, 2}, {2, 2}, okVerdict()});
-  S.ComponentEntries.push_back({{3, 3}, {3, 3}, missVerdict(20, 1)});
+  S.ComponentEntries.push_back({{1, 1}, missVerdict(10, 0)});
+  S.ComponentEntries.push_back({{2, 2}, okVerdict()});
+  S.ComponentEntries.push_back({{3, 3}, missVerdict(20, 1)});
 
   VerdictCache Cache;
   // Pre-existing same-run entry under key {1,1}: the snapshot must not
   // replace it or flip its provenance.
-  Cache.insertComponent({1, 1}, {1, 1}, missVerdict(10, 0));
+  Cache.insertComponent({1, 1}, missVerdict(10, 0));
   EXPECT_EQ(S.seedCache(Cache), 2u);
   const VerdictCache::ComponentEntry *E1 = Cache.lookupComponent({1, 1});
   ASSERT_NE(E1, nullptr);
