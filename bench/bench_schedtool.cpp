@@ -198,7 +198,7 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
   cfg::Config Base = neighborhoodConfig();
 
   int64_t TotalEvaluated = 0;
-  int64_t CompHits = 0, CompMisses = 0, Dirty = 0, Clean = 0, Sims = 0;
+  int64_t CompHits = 0, CompMisses = 0, Dirty = 0, Sims = 0;
   for (auto _ : State) {
     schedtool::SearchProblem Problem;
     Problem.Base = Base;
@@ -215,7 +215,6 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
     CompHits += Res->ComponentCacheHits;
     CompMisses += Res->ComponentCacheMisses;
     Dirty += Res->DirtyComponents;
-    Clean += Res->CleanComponentsReused;
     Sims += Res->ComponentsSimulated;
   }
   State.counters["workers"] = Workers;
@@ -231,7 +230,8 @@ static void BM_SearchNeighborhood(benchmark::State &State) {
       TotalEvaluated > 0 ? static_cast<double>(Dirty) /
                                static_cast<double>(TotalEvaluated)
                          : 0.0;
-  State.counters["clean_components_reused"] = static_cast<double>(Clean);
+  State.counters["clean_components_reused"] =
+      static_cast<double>(CompHits + CompMisses - Dirty);
   swa::benchsupport::exportObsCounters(State);
 }
 BENCHMARK(BM_SearchNeighborhood)

@@ -216,7 +216,7 @@ int main(int argc, char **argv) {
               Res->DecomposedCandidates, Res->ComponentCacheHits,
               Res->ComponentCacheMisses,
               Lookups > 0 ? 100.0 * Res->ComponentCacheHits / Lookups : 0.0,
-              Res->DirtyComponents, Res->CleanComponentsReused);
+              Res->DirtyComponents, Lookups - Res->DirtyComponents);
   std::printf("simulations: %d components + %d whole configs\n",
               Res->ComponentsSimulated, Res->SimulationsRun);
   if (CheckpointPath) {

@@ -104,7 +104,6 @@ struct ProbeEngine {
   const SensitivityOptions &Opts;
   schedtool::VerdictCache &Cache;
   ModelArena &Arena;
-  obs::Counter *ProbesC = nullptr;
   obs::Counter *HitC = nullptr;
   obs::Counter *MissC = nullptr;
   obs::Counter *InvalidC = nullptr;
@@ -118,7 +117,6 @@ struct ProbeEngine {
       : Opts(Opts), Cache(Cache), Arena(Arena) {
     if (obs::enabled()) {
       obs::Registry &Reg = obs::Registry::global();
-      ProbesC = &Reg.counter("sensitivity.probes");
       HitC = &Reg.counter("sensitivity.cache.hits");
       MissC = &Reg.counter("sensitivity.cache.misses");
       InvalidC = &Reg.counter("sensitivity.invalid_probes");
@@ -137,8 +135,6 @@ struct ProbeEngine {
       return Probe::Undecided;
     }
     ++Probes;
-    if (ProbesC)
-      ProbesC->add(1);
     // An invalid perturbation is "not schedulable as specified" — failing
     // by convention, and never cached (its fingerprint would not be a
     // congruence for anything).
@@ -515,10 +511,6 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
     obs::Span QuerySpan("query", "sensitivity");
     QuerySpan.arg("param", Q.Kind);
     QuerySpan.arg("task", Q.Gid);
-    // Resolved here, not outside the fan-out: counter cells are
-    // single-writer and live in the *calling thread's* shard.
-    if (obs::enabled())
-      obs::Registry::global().counter("sensitivity.queries").add(1);
     ProbeEngine E(Options, Cache, Arenas[static_cast<size_t>(Slot)]);
     switch (Q.Kind) {
     case KWcet: {

@@ -10,7 +10,6 @@
 #include "analysis/ModelArena.h"
 #include "config/Decompose.h"
 #include "config/Fingerprint.h"
-#include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "obs/Timer.h"
 #include "schedtool/Snapshot.h"
@@ -133,7 +132,8 @@ namespace {
 //   lookup     resolve components against the one verdict cache and
 //              deduplicate the misses into the round's simulation list
 //   simulate   run the list (early exit, one model arena per pool thread)
-//   reduce     fill the cache, merge component verdicts, log, adapt
+//   reduce     fill the cache, merge component verdicts, log, count the
+//              statistics of each candidate it reduces, adapt
 //   checkpoint persist cache + loop state at the round boundary
 //
 // Every stage but simulate is serial, so the hit pattern, the simulation
@@ -143,8 +143,7 @@ namespace {
 
 /// One candidate of a round: a concrete binding + window layout, the boost
 /// vector that produced it, and the move that derived it from candidate 0
-/// as Strategy::perturb recorded it (read only to count dirty and clean
-/// components).
+/// as Strategy::perturb recorded it (read only to count dirty components).
 struct Candidate {
   cfg::Config Config;
   std::vector<double> Boost;
@@ -175,18 +174,20 @@ struct PlannedComp {
   int Sim = -1;
 };
 
-/// A candidate's component list and how the lookup stage classified it.
+/// A candidate's component list and how the lookup stage resolved it.
+/// The reduce stage adds these facts into the result once it reaches the
+/// candidate.
 struct CandPlan {
   std::vector<PlannedComp> Comps;
   /// The candidate's message-graph split; not Decomposed when the
   /// candidate is its own single component.
   cfg::Decomposition D;
-  /// Components holding a core the recorded move touched, and the rest.
-  int Dirty = 0, Clean = 0;
-  /// Verdict provenance for the "candidate" span: 0 = simulated, 1 = cache
-  /// hit.
-  int Src = 0;
+  /// Components served by the cache (SnapHits of them by entries a loaded
+  /// snapshot brought), and components holding a core the recorded move
+  /// touched.
+  int Hits = 0, SnapHits = 0, Dirty = 0;
   bool decomposed() const { return Comps.size() > 1; }
+  bool hit() const { return Hits == static_cast<int>(Comps.size()); }
 };
 
 /// One deduplicated simulation of a round: the first candidate needing the
@@ -195,14 +196,6 @@ struct Sim {
   const cfg::Config *Sub = nullptr;
   cfg::Fingerprint Key;
   int FirstCand = -1;
-};
-
-/// One round's evaluation statistics, added into the SearchResult (and
-/// the obs counters) when the round is flushed.
-struct RoundStats {
-  int Hits = 0, Misses = 0;
-  int Decomposed = 0, CompHits = 0, CompMisses = 0, Dirty = 0, Clean = 0;
-  int CompSims = 0, WholeSims = 0;
 };
 
 /// Everything one round produces, stage by stage.
@@ -214,7 +207,6 @@ struct RoundWork {
   std::unordered_map<cfg::Fingerprint, int, cfg::FingerprintHash> SimOf;
   std::vector<Eval> SimEvals;
   std::vector<Eval> Evals;
-  RoundStats Stats;
 
   void reset(int Round, int N) {
     Index = Round;
@@ -224,49 +216,8 @@ struct RoundWork {
     SimOf.clear();
     SimEvals.clear();
     Evals.assign(static_cast<size_t>(N), Eval());
-    Stats = RoundStats();
   }
 };
-
-/// The search's obs counters (stable registry addresses within the calling
-/// thread's shard), null when metrics are off. Only the calling thread
-/// touches them; workers publish engine-level counters into their own
-/// shards, and the merged totals are identical for every Workers value
-/// because the simulation list is fixed by (Seed, BatchSize).
-struct SearchCounters {
-  obs::Counter *Cand = nullptr, *Sim = nullptr, *Sched = nullptr;
-  obs::Counter *Hit = nullptr, *Miss = nullptr;
-  obs::Counter *Decomp = nullptr, *Comp = nullptr;
-  obs::Counter *CompHit = nullptr, *CompMiss = nullptr;
-  obs::Counter *Dirty = nullptr, *Clean = nullptr;
-  obs::Counter *SnapHit = nullptr, *Ckpt = nullptr;
-
-  SearchCounters() {
-    if (!obs::enabled())
-      return;
-    obs::Registry &Reg = obs::Registry::global();
-    Cand = &Reg.counter("schedtool.candidates.evaluated");
-    Sim = &Reg.counter("schedtool.simulations.run");
-    Sched = &Reg.counter("schedtool.schedulable.seen");
-    Hit = &Reg.counter("schedtool.cache.hits");
-    Miss = &Reg.counter("schedtool.cache.misses");
-    Decomp = &Reg.counter("schedtool.decomposed.candidates");
-    Comp = &Reg.counter("schedtool.components.simulated");
-    CompHit = &Reg.counter("schedtool.component_cache.hits");
-    CompMiss = &Reg.counter("schedtool.component_cache.misses");
-    Dirty = &Reg.counter("schedtool.components.dirty");
-    Clean = &Reg.counter("schedtool.components.clean_reused");
-    // Warm-from-disk hits vs same-run memoization, and checkpoints
-    // actually written — durable-search traffic, outside SearchResult.
-    SnapHit = &Reg.counter("verdict_cache.snapshot_hits");
-    Ckpt = &Reg.counter("schedtool.checkpoints.written");
-  }
-};
-
-void bump(obs::Counter *C, int V) {
-  if (C)
-    C->add(static_cast<uint64_t>(V));
-}
 
 /// Search-lifetime state the stages share.
 struct SearchContext {
@@ -295,7 +246,6 @@ struct SearchContext {
   std::vector<analysis::ModelArena> Arenas;
   nsa::SimOptions SimOpts;
   VerdictCache Cache;
-  SearchCounters C;
   uint32_t BaseCrc = 0;
 };
 
@@ -349,9 +299,9 @@ void generateRound(const SearchProblem &Problem, Strategy &Strat,
 /// Plan: candidate J's component list — its message-graph components from
 /// one cfg::decomposeConfig call, or the whole config as the single
 /// component when it does not decompose. The move the strategy recorded
-/// only sorts a decomposed candidate's components into dirty (holding a
-/// core the move touched) and clean for the statistics; every component
-/// is planned the same way, so a wrong record cannot change a verdict.
+/// only counts a decomposed candidate's dirty components (those holding a
+/// core the move touched) for the statistics; every component is planned
+/// the same way, so a wrong record cannot change a verdict.
 void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
   const Candidate &C = W.Cands[static_cast<size_t>(J)];
   CandPlan &Plan = W.Plans[static_cast<size_t>(J)];
@@ -387,7 +337,7 @@ void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
     PC.Sub = &Comp.Sub;
     PC.GidMap = &Comp.GidMap;
     PC.Key = cfg::fingerprintComponent(Comp.Sub, Ctx.L);
-    ++(CompDirty[K] ? Plan.Dirty : Plan.Clean);
+    Plan.Dirty += CompDirty[K];
   }
 }
 
@@ -396,47 +346,24 @@ void planCandidate(SearchContext &Ctx, RoundWork &W, int J) {
 /// candidate resolves each component against the cache; misses join the
 /// round's simulation list, first occurrence winning the slot, so each
 /// distinct key is simulated once per round and shared — also by a later
-/// candidate of the batch that repeats an earlier one.
-void lookupRound(SearchContext &Ctx, RoundWork &W) {
-  RoundStats &St = W.Stats;
+/// candidate of the batch that repeats an earlier one. Nothing is counted
+/// here: the reduce stage may never reach a candidate.
+void lookupRound(const SearchContext &Ctx, RoundWork &W) {
   for (size_t J = 0; J < W.Cands.size(); ++J) {
     if (!W.Cands[J].Valid)
       continue;
     CandPlan &Plan = W.Plans[J];
-    int Hits = 0;
     for (PlannedComp &PC : Plan.Comps) {
-      if (const VerdictCache::ComponentEntry *E =
-              Ctx.Cache.lookupComponent(PC.Key)) {
-        PC.Hit = E;
-        ++Hits;
-        if (E->FromSnapshot) {
-          // Warm-from-disk hit: counted outside SearchResult (the
-          // provenance depends on resume, which the result must not).
-          if (Ctx.Problem.CkptStats)
-            ++Ctx.Problem.CkptStats->SnapshotHits;
-          bump(Ctx.C.SnapHit, 1);
-        }
+      PC.Hit = Ctx.Cache.lookupComponent(PC.Key);
+      if (PC.Hit) {
+        ++Plan.Hits;
+        Plan.SnapHits += PC.Hit->FromSnapshot;
         continue;
       }
       auto Ins = W.SimOf.emplace(PC.Key, static_cast<int>(W.Sims.size()));
-      if (Ins.second) {
+      if (Ins.second)
         W.Sims.push_back({PC.Sub, PC.Key, static_cast<int>(J)});
-        ++(Plan.decomposed() ? St.CompSims : St.WholeSims);
-      }
       PC.Sim = Ins.first->second;
-    }
-    if (Plan.decomposed()) {
-      ++St.Decomposed;
-      St.CompHits += Hits;
-      St.CompMisses += static_cast<int>(Plan.Comps.size()) - Hits;
-      St.Dirty += Plan.Dirty;
-      St.Clean += Plan.Clean;
-    }
-    if (Hits == static_cast<int>(Plan.Comps.size())) {
-      ++St.Hits;
-      Plan.Src = 1;
-    } else {
-      ++St.Misses;
     }
   }
 }
@@ -513,13 +440,21 @@ void mergeRound(SearchContext &Ctx, RoundWork &W) {
 }
 
 /// Reduce: merges the round's verdicts, then walks the candidates in order
-/// — log lines, counters, best-so-far and the returned error (if any) are
-/// those of the lowest-index candidate, independent of evaluation order —
-/// and adapts the incumbent from the round's best. Returns true when a
-/// schedulable candidate ended the search.
+/// — log lines, statistics, best-so-far and the returned error (if any)
+/// are those of the lowest-index candidate, independent of evaluation
+/// order — and adapts the incumbent from the round's best. The walk counts
+/// each candidate it reaches, once; it stops at a schedulable one, and the
+/// candidates after it count nowhere. Every simulation the round ran
+/// counts. Returns true when a schedulable candidate ended the search.
 Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
                          LoopState &S, SearchResult &Res) {
   mergeRound(Ctx, W);
+  int Hits = 0, Misses = 0, Decomposed = 0, CompHits = 0, CompMisses = 0,
+      Dirty = 0, CompSims = 0, WholeSims = 0;
+  for (const Sim &Run : W.Sims)
+    ++(W.Plans[static_cast<size_t>(Run.FirstCand)].decomposed() ? CompSims
+                                                                 : WholeSims);
+  bool Found = false;
   int BestJ = -1;
   int64_t BestJBadness = -1;
   for (size_t J = 0; J < W.Cands.size(); ++J) {
@@ -533,13 +468,25 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
     const Eval &E = W.Evals[J];
     if (!E.Ok)
       return Error::failure(E.ErrMsg);
+    const CandPlan &Plan = W.Plans[J];
+    ++(Plan.hit() ? Hits : Misses);
+    if (Plan.decomposed()) {
+      ++Decomposed;
+      CompHits += Plan.Hits;
+      CompMisses += static_cast<int>(Plan.Comps.size()) - Plan.Hits;
+      Dirty += Plan.Dirty;
+    }
+    // Warm-from-disk hits are counted outside SearchResult: their
+    // provenance depends on resume, which the result must not.
+    if (Ctx.Problem.CkptStats)
+      Ctx.Problem.CkptStats->SnapshotHits +=
+          static_cast<uint64_t>(Plan.SnapHits);
     // Per-candidate metadata span: component count, verdict provenance
     // (src: 0 sim / 1 hit), stop reason, badness. It rides the serial
-    // reduce, so its args — like the counters — are identical for any
-    // worker count.
+    // reduce, so its args are identical for any worker count.
     obs::Span CandSpan("candidate", "search");
-    CandSpan.arg("comps", static_cast<int64_t>(W.Plans[J].Comps.size()));
-    CandSpan.arg("src", W.Plans[J].Src);
+    CandSpan.arg("comps", static_cast<int64_t>(Plan.Comps.size()));
+    CandSpan.arg("src", Plan.hit() ? 1 : 0);
     CandSpan.arg("stop", static_cast<int64_t>(E.V.Stop));
     ++Res.StopReasonCounts[static_cast<size_t>(E.V.Stop)];
     if (!E.V.decided()) {
@@ -554,18 +501,15 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
       continue;
     }
     ++Res.ConfigurationsEvaluated;
-    bump(Ctx.C.Cand, 1);
     int64_t Badness = badnessOf(Ctx.L, E.V);
     CandSpan.arg("badness", Badness);
     if (E.V.Schedulable) {
       Res.Log.push_back(formatString("iter %d: schedulable", IterJ));
-      ++Res.SchedulableSeen;
-      bump(Ctx.C.Sched, 1);
-      Res.Found = true;
+      Found = Res.Found = true;
       Res.Best = C.Config;
       Res.BestBadness = 0;
       Res.BestTrajectory.push_back({IterJ, 0});
-      return true;
+      break;
     }
     Res.Log.push_back(formatString(
         "iter %d: unschedulable (badness %lld, first miss at t=%lld, "
@@ -584,6 +528,23 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
     }
   }
 
+  Res.CacheHits += Hits;
+  Res.CacheMisses += Misses;
+  Res.DecomposedCandidates += Decomposed;
+  Res.ComponentCacheHits += CompHits;
+  Res.ComponentCacheMisses += CompMisses;
+  Res.DirtyComponents += Dirty;
+  Res.ComponentsSimulated += CompSims;
+  Res.SimulationsRun += WholeSims;
+  Res.Log.push_back(formatString(
+      "round %d: cache %d hits / %d misses (%d entries); decomposed %d/%d "
+      "candidates; component cache %d hits / %d misses, %d dirty; "
+      "simulated %d components + %d whole configs",
+      W.Index, Hits, Misses, static_cast<int>(Ctx.Cache.componentSize()),
+      Decomposed, Hits + Misses, CompHits, CompMisses, Dirty, CompSims,
+      WholeSims));
+  if (Found)
+    return true;
   if (BestJ < 0) {
     // Every candidate in the round was invalid; the strategy's escape move
     // (the default resamples all boosts).
@@ -602,45 +563,6 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
   RB.Badness = BestJBadness;
   Strat.adapt(S.R, Ctx.Problem, RB, S.Current, S.Boost);
   return false;
-}
-
-/// Adds the round's statistics into the result, its summary lines to the
-/// log and its deltas to the obs counters. Runs once per round, also on
-/// the found-and-returning path, so the schedtool.* counters always equal
-/// the SearchResult stats the report prints; the values are serial-path
-/// facts, identical for every Workers/BatchSize.
-void flushRound(SearchContext &Ctx, const RoundWork &W, SearchResult &Res) {
-  const RoundStats &St = W.Stats;
-  Res.CacheHits += St.Hits;
-  Res.CacheMisses += St.Misses;
-  Res.DecomposedCandidates += St.Decomposed;
-  Res.ComponentCacheHits += St.CompHits;
-  Res.ComponentCacheMisses += St.CompMisses;
-  Res.DirtyComponents += St.Dirty;
-  Res.CleanComponentsReused += St.Clean;
-  Res.ComponentsSimulated += St.CompSims;
-  Res.SimulationsRun += St.WholeSims;
-  Res.Log.push_back(formatString(
-      "round %d: cache %d hits / %d misses (%d entries)", W.Index, St.Hits,
-      St.Misses, static_cast<int>(Ctx.Cache.componentSize())));
-  Res.Log.push_back(formatString(
-      "round %d: decomposed %d/%d candidates; component cache %d hits / "
-      "%d misses; incremental %d dirty / %d clean components",
-      W.Index, St.Decomposed, St.Hits + St.Misses, St.CompHits,
-      St.CompMisses, St.Dirty, St.Clean));
-  Res.Log.push_back(formatString(
-      "round %d: simulated %d components + %d whole configs", W.Index,
-      St.CompSims, St.WholeSims));
-  const SearchCounters &C = Ctx.C;
-  bump(C.Hit, St.Hits);
-  bump(C.Miss, St.Misses);
-  bump(C.Decomp, St.Decomposed);
-  bump(C.Comp, St.CompSims);
-  bump(C.CompHit, St.CompHits);
-  bump(C.CompMiss, St.CompMisses);
-  bump(C.Dirty, St.Dirty);
-  bump(C.Clean, St.Clean);
-  bump(C.Sim, St.CompSims + St.WholeSims);
 }
 
 /// Checkpoint: cache contents + loop state at a round boundary, written
@@ -675,9 +597,7 @@ void writeCheckpoint(const SearchContext &Ctx, const LoopState &LS,
       ++Problem.CkptStats->WriteFailures;
       Problem.CkptStats->LastError = E.message();
     }
-    return;
   }
-  bump(Ctx.C.Ckpt, 1);
 }
 
 /// Why the checkpointed loop state of \p Snap cannot continue a search over
@@ -847,7 +767,6 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
     Result<bool> Found = reduceRound(Ctx, W, *Strat, LS, Res);
     if (!Found.ok())
       return Found.takeError();
-    flushRound(Ctx, W, Res);
     if (*Found) {
       // Terminal flush: persist the finished result (and every verdict
       // earned) so a later resume returns it without re-running.
@@ -885,8 +804,6 @@ void swa::schedtool::fillSearchReport(obs::RunReport &Report,
                   static_cast<uint64_t>(Res.ConfigurationsEvaluated));
   Report.addCount("candidates.skipped",
                   static_cast<uint64_t>(Res.CandidatesSkipped));
-  Report.addCount("schedulable.seen",
-                  static_cast<uint64_t>(Res.SchedulableSeen));
   Report.addCount("cache.hits", static_cast<uint64_t>(Res.CacheHits));
   Report.addCount("cache.misses", static_cast<uint64_t>(Res.CacheMisses));
   int Lookups = Res.CacheHits + Res.CacheMisses;
@@ -909,10 +826,7 @@ void swa::schedtool::fillSearchReport(obs::RunReport &Report,
                        static_cast<double>(CompLookups));
   Report.addCount("components.dirty",
                   static_cast<uint64_t>(Res.DirtyComponents));
-  Report.addCount("components.clean_reused",
-                  static_cast<uint64_t>(Res.CleanComponentsReused));
-  if (Res.DirtyComponents + Res.CleanComponentsReused > 0 &&
-      Res.ConfigurationsEvaluated > 0)
+  if (CompLookups > 0 && Res.ConfigurationsEvaluated > 0)
     Report.addStat("components.dirty_per_candidate",
                    static_cast<double>(Res.DirtyComponents) /
                        static_cast<double>(Res.ConfigurationsEvaluated));

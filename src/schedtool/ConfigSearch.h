@@ -108,7 +108,6 @@ struct SearchResult {
   /// Decided candidates (verdict obtained by simulation *or* cache hit);
   /// invalid and guard-rail-skipped candidates are excluded.
   int ConfigurationsEvaluated = 0;
-  int SchedulableSeen = 0;
   /// Badness of the best candidate seen: 0 when schedulable, otherwise
   /// L - FirstMissTime + 1 (hyperperiod minus the first-miss instant, so
   /// "misses later" is "less bad" and the value is positive). Chosen
@@ -130,35 +129,34 @@ struct SearchResult {
   /// Evaluation statistics. Every valid candidate is a list of
   /// components — its message-graph components, or the whole config as
   /// one component at its own hyperperiod when it does not decompose —
-  /// resolved against one verdict cache (VerdictCache.h). All counts are
-  /// serial-path facts, identical for any Workers value.
+  /// resolved against one verdict cache (VerdictCache.h). The candidate
+  /// and component counts cover exactly the candidates the search reduced:
+  /// every decided or skipped one, so CacheHits + CacheMisses ==
+  /// ConfigurationsEvaluated + CandidatesSkipped. Candidates after a
+  /// schedulable one in its round are never reduced and count nowhere.
+  /// All counts are serial-path facts, identical for any Workers value.
   ///
-  /// Candidates: every valid candidate is a CacheHit (every component
-  /// served by the cache — for a whole-config candidate, a revisit of an
-  /// earlier round's config) or a CacheMiss (at least one component was
-  /// not in the cache when its round began). A candidate that repeats an
-  /// earlier one of its round resolves the same way, and a miss shares
-  /// the earlier candidate's simulation.
+  /// A candidate is a CacheHit when the cache served every component (for
+  /// a whole-config candidate, a revisit of an earlier round's config),
+  /// and a CacheMiss when at least one component was not in the cache
+  /// when its round began; a miss shares the simulation of an earlier
+  /// candidate of its round that needs the same component.
   int CacheHits = 0;
   int CacheMisses = 0;
   /// Candidates that split into two or more components.
   /// The component statistics below count only their components: cache
   /// hits and misses (Hits + Misses is their total component count), and
-  /// the components holding a core the strategy's recorded move touched
-  /// (Dirty) or not (Clean); Hits + Misses == Dirty + Clean. Every
-  /// component is planned the same way: Dirty/Clean only describe the
-  /// move (schedtool::Mutation).
+  /// those holding a core the strategy's recorded move touched (Dirty;
+  /// the rest are the clean ones). Every component is planned the same
+  /// way: Dirty only describes the move (schedtool::Mutation).
   int DecomposedCandidates = 0;
   int ComponentCacheHits = 0;
   int ComponentCacheMisses = 0;
   int DirtyComponents = 0;
-  int CleanComponentsReused = 0;
-  /// Simulations actually run, once per distinct missing key per round:
-  /// ComponentsSimulated for components of decomposed candidates,
-  /// SimulationsRun for whole configs. SimulationsRun +
-  /// ComponentsSimulated is the number of Simulator::run calls the search
-  /// made (ComponentCacheMisses >= ComponentsSimulated, because a round
-  /// simulates each distinct component once).
+  /// Simulator::run calls the search made, once per distinct missing key
+  /// per round — also those a round ran for candidates after its
+  /// schedulable one: ComponentsSimulated for components of decomposed
+  /// candidates, SimulationsRun for whole configs.
   int ComponentsSimulated = 0;
   int SimulationsRun = 0;
   /// How candidate evaluations ended, indexed by nsa::StopReason: decided

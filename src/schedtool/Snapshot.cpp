@@ -294,7 +294,6 @@ void encodeSearchResult(Enc &E, const SearchResult &R) {
   E.u8(R.Found ? 1 : 0);
   encodeConfig(E, R.Best);
   E.i32(R.ConfigurationsEvaluated);
-  E.i32(R.SchedulableSeen);
   E.i64(R.BestBadness);
   E.u64(R.BestTrajectory.size());
   for (const auto &[It, Badness] : R.BestTrajectory) {
@@ -310,7 +309,6 @@ void encodeSearchResult(Enc &E, const SearchResult &R) {
   E.i32(R.ComponentCacheHits);
   E.i32(R.ComponentCacheMisses);
   E.i32(R.DirtyComponents);
-  E.i32(R.CleanComponentsReused);
   E.i32(R.SimulationsRun);
   E.u64(static_cast<uint64_t>(nsa::NumStopReasons));
   for (int C : R.StopReasonCounts)
@@ -325,7 +323,6 @@ bool decodeSearchResult(Dec &D, SearchResult &R) {
   if (!decodeConfig(D, R.Best))
     return false;
   R.ConfigurationsEvaluated = D.i32();
-  R.SchedulableSeen = D.i32();
   R.BestBadness = D.i64();
   uint64_t NTraj = D.count(12);
   for (uint64_t I = 0; D.ok() && I < NTraj; ++I) {
@@ -342,7 +339,6 @@ bool decodeSearchResult(Dec &D, SearchResult &R) {
   R.ComponentCacheHits = D.i32();
   R.ComponentCacheMisses = D.i32();
   R.DirtyComponents = D.i32();
-  R.CleanComponentsReused = D.i32();
   R.SimulationsRun = D.i32();
   if (D.u64() != static_cast<uint64_t>(nsa::NumStopReasons))
     return false; // taxonomy changed without a format bump

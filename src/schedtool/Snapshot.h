@@ -67,7 +67,8 @@ struct SnapshotStats {
   uint64_t BytesLoaded = 0;
   /// Cache entries adopted from a loaded snapshot (Snapshot::seedCache).
   uint64_t ComponentEntriesMerged = 0;
-  /// Cache hits served by warm-from-disk entries during the search.
+  /// Cache hits served by warm-from-disk entries during the search, over
+  /// the candidates it reduced (as SearchResult's cache statistics).
   uint64_t SnapshotHits = 0;
   /// Checkpoint writes that failed (search continues; last message
   /// kept). A non-empty LastError with WriteFailures == 0 never happens.
@@ -83,10 +84,12 @@ struct Snapshot {
   /// kind is gone, since a whole config is the one-component case of the
   /// component cache. Version 4 keys entries by the plain structural
   /// fingerprint (no core relabeling, one key per record) and drops the
-  /// fold and duplicate counters from the search result. Older files are
-  /// rejected with a typed skew error and degrade to a cold start, per
-  /// the reader contract above.
-  static constexpr uint32_t FormatVersion = 4;
+  /// fold and duplicate counters from the search result. Version 5 drops
+  /// two more fields from the SearchResult encoding: SchedulableSeen and
+  /// CleanComponentsReused, which only restated Found and the component
+  /// counts. Older files are rejected with a typed skew error and degrade
+  /// to a cold start, per the reader contract above.
+  static constexpr uint32_t FormatVersion = 5;
 
   /// One serialized verdict-cache entry.
   struct CacheRecord {
@@ -154,8 +157,7 @@ Result<Snapshot> loadSnapshot(const std::string &Path,
                               SnapshotStats *Stats = nullptr);
 
 /// Adds the durable-search counters of \p Stats to \p Report under the
-/// snapshot.* keys (the warm-hit count under verdict_cache.snapshot_hits,
-/// matching the obs counter of the same name).
+/// snapshot.* keys (the warm-hit count under verdict_cache.snapshot_hits).
 void fillSnapshotReport(obs::RunReport &Report, const SnapshotStats &Stats);
 
 /// The canonical wire encoding of a SearchResult — every field,

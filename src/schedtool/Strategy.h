@@ -51,12 +51,11 @@ struct SearchProblem;
 /// The move a perturbation applied to the round's base (candidate 0):
 /// which partitions' boosts were resampled, and the endpoints of the
 /// rebind (RebindPart < 0 when none, or when the rebind drew the
-/// partition's current core — a no-op). The record feeds only the search
-/// statistics: a decomposed candidate's components holding a core named
-/// here count as dirty, the rest as clean (SearchResult::DirtyComponents,
-/// CleanComponentsReused). Every candidate is planned from its own
-/// config, so a missing or wrong record miscounts those statistics and
-/// cannot change a verdict.
+/// partition's current core — a no-op). The record feeds only one search
+/// statistic: a decomposed candidate's components holding a core named
+/// here count as dirty (SearchResult::DirtyComponents). Every candidate is
+/// planned from its own config, so a missing or wrong record miscounts
+/// that statistic and cannot change a verdict.
 struct Mutation {
   std::vector<int32_t> BoostChanged;
   int32_t RebindPart = -1;

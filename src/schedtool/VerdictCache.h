@@ -9,8 +9,8 @@
 /// component fingerprints (cfg::fingerprintComponent — a sub-config keyed
 /// together with the global horizon it is simulated to).
 ///
-/// The search treats every candidate as a list of components: a
-/// mutation dirties one or two, and every clean component hits here, so a
+/// The search treats every candidate as a list of components: a move
+/// changes one or two, and the components it leaves alone hit here, so a
 /// candidate whose components all hit never constructs a simulator, and
 /// analysis::mergeComponentVerdicts stitches the whole-config verdict
 /// from cached parts. A candidate that does not decompose is one
@@ -21,12 +21,14 @@
 /// badness the search ranks by (Horizon - FirstMissTime + 1) is derived
 /// from the stored FirstMissTime, so hits reproduce it exactly.
 ///
-/// Determinism: the search consults and fills the cache only from the
-/// serial reduce thread, and only *before* dispatching a batch /
-/// *after* reducing it in candidate order, so the hit pattern is a pure
-/// function of the candidate sequence — independent of Workers and
-/// BatchSize timing. The mutex makes the container safe for callers that
-/// do share one cache across threads; it is uncontended in the search.
+/// Determinism: the search consults the cache only in its serial lookup
+/// stage, *before* dispatching a round's simulations, and fills it only
+/// in its serial reduce stage, *after* they finished, so the hit pattern
+/// is a pure function of the candidate sequence — independent of Workers
+/// and BatchSize timing. The cache counts nothing itself: the reduce stage
+/// counts the hits of each candidate it reduces. The mutex makes the
+/// container safe for callers that do share one cache across threads; it
+/// is uncontended in the search.
 ///
 /// Entry immutability (load-bearing): entries are WRITE-ONCE.
 /// `lookupComponent` returns pointers into the node-based
@@ -66,8 +68,8 @@ public:
   struct ComponentEntry {
     analysis::VerdictOutcome Verdict;
     /// True when the entry arrived via insertComponentSnapshot
-    /// (warm-from-disk): a hit on it is a `verdict_cache.snapshot_hits`
-    /// event, telling resume reuse apart from same-run memoization.
+    /// (warm-from-disk): a hit on it counts in SnapshotStats::SnapshotHits,
+    /// telling resume reuse apart from same-run memoization.
     /// Purely observational — no verdict or search decision reads it.
     bool FromSnapshot = false;
   };

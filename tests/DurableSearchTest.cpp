@@ -90,7 +90,6 @@ constexpr int kCheckpoints = 4;
 void expectIdenticalResult(const SearchResult &A, const SearchResult &B) {
   EXPECT_EQ(A.Found, B.Found);
   EXPECT_EQ(A.ConfigurationsEvaluated, B.ConfigurationsEvaluated);
-  EXPECT_EQ(A.SchedulableSeen, B.SchedulableSeen);
   EXPECT_EQ(A.BestBadness, B.BestBadness);
   EXPECT_EQ(A.BestTrajectory, B.BestTrajectory);
   EXPECT_EQ(A.CandidatesSkipped, B.CandidatesSkipped);
@@ -102,7 +101,6 @@ void expectIdenticalResult(const SearchResult &A, const SearchResult &B) {
   EXPECT_EQ(A.ComponentCacheHits, B.ComponentCacheHits);
   EXPECT_EQ(A.ComponentCacheMisses, B.ComponentCacheMisses);
   EXPECT_EQ(A.DirtyComponents, B.DirtyComponents);
-  EXPECT_EQ(A.CleanComponentsReused, B.CleanComponentsReused);
   EXPECT_EQ(A.SimulationsRun, B.SimulationsRun);
   EXPECT_EQ(A.StopReasonCounts, B.StopReasonCounts);
   EXPECT_EQ(A.Log, B.Log);
@@ -319,7 +317,6 @@ TEST(DurableSearch, WarmCacheOnlyStartPreservesTheVerdictStream) {
   ASSERT_TRUE(Warm.ok()) << Warm.error().message();
   EXPECT_EQ(Cold->Found, Warm->Found);
   EXPECT_EQ(Cold->ConfigurationsEvaluated, Warm->ConfigurationsEvaluated);
-  EXPECT_EQ(Cold->SchedulableSeen, Warm->SchedulableSeen);
   EXPECT_EQ(Cold->BestBadness, Warm->BestBadness);
   EXPECT_EQ(Cold->BestTrajectory, Warm->BestTrajectory);
   EXPECT_EQ(Cold->StopReasonCounts, Warm->StopReasonCounts);

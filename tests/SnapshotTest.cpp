@@ -101,7 +101,6 @@ Snapshot sampleSnapshot() {
   S.Boost = {1.1, 2.0, 1.5, 1.9};
   S.Res.Found = false;
   S.Res.ConfigurationsEvaluated = 12;
-  S.Res.SchedulableSeen = 0;
   S.Res.BestBadness = 77;
   S.Res.BestTrajectory = {{0, 100}, {5, 77}};
   S.Res.CacheHits = 3;
