@@ -10,12 +10,11 @@
 // growth of the verification state space — and why verification is done
 // once per component, while per-configuration analysis uses simulation.
 //
-// Also guards the other observer cost: the obs:: span layer around the
-// hot simulation loop. BM_SimSpansGuard runs the same span-wrapped
-// simulation with observability off, with spans recording, and with no
-// spans at all, and fails the benchmark when the measured overhead
-// exceeds the asserted bounds (off must be branch-only, on must stay
-// bounded).
+// Also guards the other observer cost: the obs:: phase timers and their
+// span timeline around the hot simulation loop. BM_SimSpansGuard runs the
+// same phase-timed simulation with observability off and with every phase
+// recorded into the timeline, and fails the benchmark when the measured
+// overhead exceeds the asserted bound.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +22,7 @@
 #include "gen/Workload.h"
 #include "nsa/Simulator.h"
 #include "obs/Metrics.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "verify/Observers.h"
 
 #include "BenchSupport.h"
@@ -99,20 +98,18 @@ static void BM_VerifyFullSuite(benchmark::State &State) {
 BENCHMARK(BM_VerifyFullSuite)->Unit(benchmark::kMillisecond);
 
 //===----------------------------------------------------------------------===//
-// Span-layer overhead on the hot simulation loop
+// Timeline overhead on the hot simulation loop
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The search's per-item instrumentation shape: one span with a few
-/// integer args wrapped around each simulation run. The Simulator is
-/// reused (run() resets), exactly like the search's hot loop.
-uint64_t spanWrappedSimulation(nsa::Simulator &Sim, int Runs) {
+/// The search's per-item instrumentation shape: one phase wrapped around
+/// each simulation run (which times its own `simulate` phase inside). The
+/// Simulator is reused (run() resets), exactly like the search's hot loop.
+uint64_t phaseTimedSimulation(nsa::Simulator &Sim, int Runs) {
   uint64_t Actions = 0;
   for (int I = 0; I < Runs; ++I) {
-    obs::Span ItemSpan("simulate.monolithic", "bench");
-    ItemSpan.arg("cand", I);
-    ItemSpan.arg("comp", -1);
+    obs::ScopedTimer ItemTimer("bench.run");
     nsa::SimResult R = Sim.run();
     Actions += R.ActionCount;
     benchmark::DoNotOptimize(R.ok());
@@ -120,13 +117,13 @@ uint64_t spanWrappedSimulation(nsa::Simulator &Sim, int Runs) {
   return Actions;
 }
 
-/// Best-of-three wall time of \p Runs span-wrapped simulations, so one
+/// Best-of-three wall time of \p Runs phase-timed simulations, so one
 /// scheduler hiccup cannot fail the guard.
 double bestNanos(nsa::Simulator &Sim, int Runs) {
   double Best = 0;
   for (int Rep = 0; Rep < 3; ++Rep) {
     auto T0 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(spanWrappedSimulation(Sim, Runs));
+    benchmark::DoNotOptimize(phaseTimedSimulation(Sim, Runs));
     double Ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - T0)
@@ -139,10 +136,11 @@ double bestNanos(nsa::Simulator &Sim, int Runs) {
 
 } // namespace
 
-// Asserted overhead bound: with observability off the span objects must
-// be branch-only (within noise of a run that never constructs them), and
-// with spans recording the per-run cost must stay bounded. Violations
-// fail the benchmark, so `bench_observers` doubles as a perf contract.
+// Asserted overhead bound: with observability off the timers are
+// branch-only, so the off run is the baseline, and with every phase
+// recorded into the timeline the per-run cost must stay bounded.
+// Violations fail the benchmark, so `bench_observers` doubles as a perf
+// contract.
 static void BM_SimSpansGuard(benchmark::State &State) {
   cfg::Config Config = gen::industrialConfigWithJobs(/*Jobs=*/300,
                                                      /*Seed=*/3);
@@ -166,12 +164,13 @@ static void BM_SimSpansGuard(benchmark::State &State) {
   obs::setEnabled(false);
   obs::setSpansEnabled(false);
   obs::resetSpans();
+  obs::PhaseTree::resetAll();
 
   double OnOverhead = OffNs > 0 ? (OnNs - OffNs) / OffNs : 0;
   // Branch-only check: the disabled path is the baseline itself, so the
-  // bound lives on the enabled path. A full span (two clock reads + ring
-  // slot + args) costs ~100ns; 20 simulation runs of a 300-job model
-  // dwarf that, so anything past 15% is a broken fast path.
+  // bound lives on the enabled path. A recorded phase (two clock reads,
+  // a tree node, a ring slot) costs ~100ns; 20 simulation runs of a
+  // 300-job model dwarf that, so anything past 15% is a broken fast path.
   if (OnOverhead > 0.15) {
     State.SkipWithError(
         ("span overhead " + std::to_string(OnOverhead * 100) +
@@ -185,7 +184,7 @@ static void BM_SimSpansGuard(benchmark::State &State) {
   }
 
   for (auto _ : State)
-    benchmark::DoNotOptimize(spanWrappedSimulation(Sim, 1));
+    benchmark::DoNotOptimize(phaseTimedSimulation(Sim, 1));
   State.counters["spans_on_overhead_pct"] = OnOverhead * 100;
   State.counters["runs_timed"] = Runs;
 }

@@ -20,10 +20,10 @@
 // decimal integers (--workers 1 to 256); a malformed value, and any
 // other argument that is not such an integer seed, is rejected with the
 // usage text (exit 2).
-// --trace-out records per-candidate / per-simulation spans and writes a
-// chrome://tracing (Perfetto) timeline; --report-out writes a
-// machine-readable obs::RunReport JSON. Both turn observability on;
-// neither changes the search result.
+// --trace-out writes a chrome://tracing (Perfetto) timeline of the timed
+// phases (search rounds, checkpoints, builds, simulations), one lane per
+// thread; --report-out writes a machine-readable obs::RunReport JSON.
+// Both turn observability on; neither changes the search result.
 //
 // --checkpoint makes the search durable: it writes an atomic snapshot of
 // the verdict cache and loop state to FILE at round boundaries (every
@@ -41,7 +41,7 @@
 #include "gen/Workload.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
@@ -50,7 +50,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 using namespace swa;
@@ -238,13 +237,12 @@ int main(int argc, char **argv) {
   }
 
   if (TraceOut) {
-    std::ofstream OS(TraceOut);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot write %s\n", TraceOut);
+    std::string Err;
+    if (!obs::writeChromeTraceFile(TraceOut, Err)) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
-    obs::writeChromeTrace(OS);
-    std::printf("trace: %zu spans -> %s (load in chrome://tracing or "
+    std::printf("trace: %zu phases -> %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 obs::spanCount(), TraceOut);
   }

@@ -14,11 +14,12 @@
 //                         [--no-mc] [--out DIR]
 //                         [--trace-out FILE] [--report-out FILE]
 //
-// --trace-out records one span per campaign configuration plus the
-// VM/interpreter runs inside each oracle pass and writes a
-// chrome://tracing (Perfetto) timeline; --report-out writes a
-// machine-readable obs::RunReport JSON of the campaign totals. Neither
-// changes which configurations run or what the oracles compare.
+// --trace-out writes a chrome://tracing (Perfetto) timeline of the timed
+// phases: one `difftest.config` per campaign configuration, with the
+// `vm.run`/`interp.run` oracle runs and their builds and simulations
+// inside; --report-out writes a machine-readable obs::RunReport JSON of
+// the campaign totals. Neither changes which configurations run or what
+// the oracles compare.
 //
 // Exit status: 0 when the campaign is clean, 1 on any oracle mismatch or
 // usage error.
@@ -31,7 +32,7 @@
 #include "difftest/Shrink.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
@@ -115,13 +116,12 @@ int main(int argc, char **argv) {
               Res.Mismatches.size());
 
   if (!TracePath.empty()) {
-    std::ofstream OS(TracePath);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", TracePath.c_str());
+    std::string Err;
+    if (!obs::writeChromeTraceFile(TracePath, Err)) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
-    obs::writeChromeTrace(OS);
-    std::printf("trace: %zu spans -> %s (load in chrome://tracing or "
+    std::printf("trace: %zu phases -> %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 obs::spanCount(), TracePath.c_str());
   }

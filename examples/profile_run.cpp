@@ -17,8 +17,8 @@
 //                     industrial-style configuration, 1..1000000
 //                     (default 1000)
 //   --jsonl FILE      stream action/delay/variable-write events to FILE
-//   --trace-out FILE  record phase spans and write a chrome://tracing
-//                     (Perfetto) timeline
+//   --trace-out FILE  write a chrome://tracing (Perfetto) timeline of the
+//                     timed phases
 //   --report-out FILE write a machine-readable obs::RunReport JSON
 //
 // A malformed or out-of-range number, an unknown flag or a flag without
@@ -32,7 +32,6 @@
 #include "nsa/JsonlSink.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
 #include "obs/Timer.h"
 #include "support/StringUtils.h"
 
@@ -153,13 +152,12 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(H.max()));
 
   if (!TracePath.empty()) {
-    std::ofstream OS(TracePath);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot open '%s'\n", TracePath.c_str());
+    std::string Err;
+    if (!obs::writeChromeTraceFile(TracePath, Err)) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
-    obs::writeChromeTrace(OS);
-    std::printf("\ntrace: %zu spans -> %s (load in chrome://tracing or "
+    std::printf("\ntrace: %zu phases -> %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 obs::spanCount(), TracePath.c_str());
   }

@@ -22,6 +22,10 @@
 // least 1, --workers 1 to 256); a malformed or missing value, and any other
 // argument that is not such an integer seed, is rejected with the usage
 // text (exit 1; exit 2 means the base configuration stayed undecided).
+// --trace-out writes a chrome://tracing (Perfetto) timeline of the timed
+// phases (the base probe, each query family's queries, builds and
+// simulations), one lane per thread; --report-out writes a
+// machine-readable obs::RunReport JSON. Neither changes the summary.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +33,12 @@
 #include "gen/Workload.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 using namespace swa;
 
@@ -158,13 +161,12 @@ int main(int argc, char **argv) {
               static_cast<int>(Workers));
 
   if (TraceOut) {
-    std::ofstream OS(TraceOut);
-    if (!OS) {
-      std::fprintf(stderr, "error: cannot write %s\n", TraceOut);
+    std::string Err;
+    if (!obs::writeChromeTraceFile(TraceOut, Err)) {
+      std::fprintf(stderr, "error: %s\n", Err.c_str());
       return 1;
     }
-    obs::writeChromeTrace(OS);
-    std::printf("trace: %zu spans -> %s (load in chrome://tracing or "
+    std::printf("trace: %zu phases -> %s (load in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 obs::spanCount(), TraceOut);
   }

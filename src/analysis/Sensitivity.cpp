@@ -11,7 +11,6 @@
 #include "config/Fingerprint.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
 #include "obs/Timer.h"
 #include "schedtool/VerdictCache.h"
 #include "support/StringUtils.h"
@@ -19,6 +18,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 using namespace swa;
 using namespace swa::analysis;
@@ -178,6 +178,25 @@ struct ProbeEngine {
 // Queries
 //===----------------------------------------------------------------------===//
 
+/// The midpoint search every query shares: \p Lo passes and \p Hi fails;
+/// each step probes the midpoint through \p ProbeAt and moves the bound
+/// its outcome names, until the bracket is within \p Tol or cannot split.
+/// Returns the final passing bound, or nullopt once a probe is undecided.
+template <typename ProbeFn>
+std::optional<int64_t> bisect(int64_t Lo, int64_t Hi, int64_t Tol,
+                              ProbeFn ProbeAt) {
+  while (Hi - Lo > Tol) {
+    int64_t Mid = Lo + (Hi - Lo) / 2;
+    if (Mid == Lo)
+      break;
+    Probe P = ProbeAt(Mid);
+    if (P == Probe::Undecided)
+      return std::nullopt;
+    (P == Probe::Pass ? Lo : Hi) = Mid;
+  }
+  return Lo;
+}
+
 // Precondition for every query: the unperturbed config is schedulable, so
 // the zero perturbation passes without a probe.
 
@@ -216,26 +235,21 @@ WcetSlackResult wcetSlackQuery(const cfg::Config &Base, int Gid,
     R.Decided = true;
     return R;
   }
-  cfg::TimeValue Lo = 0, Hi = R.DomainMax;
   cfg::Config LoCfg = Base;
-  while (Hi - Lo > E.Opts.ToleranceTicks) {
-    cfg::TimeValue Mid = Lo + (Hi - Lo) / 2;
-    if (Mid == Lo)
-      break;
-    cfg::Config MidCfg = withWcetDelta(Base, Gid, Mid);
-    Probe P = E.probe(MidCfg);
-    if (P == Probe::Undecided)
-      return R;
-    if (P == Probe::Pass) {
-      Lo = Mid;
-      LoCfg = std::move(MidCfg);
-    } else {
-      Hi = Mid;
-      HiCfg = std::move(MidCfg);
-    }
-  }
-  R.SlackTicks = Lo;
-  R.SlackFactor = Factor(Lo);
+  std::optional<cfg::TimeValue> Lo =
+      bisect(0, R.DomainMax, E.Opts.ToleranceTicks, [&](cfg::TimeValue Mid) {
+        cfg::Config MidCfg = withWcetDelta(Base, Gid, Mid);
+        Probe P = E.probe(MidCfg);
+        if (P == Probe::Pass)
+          LoCfg = std::move(MidCfg);
+        else if (P == Probe::Fail)
+          HiCfg = std::move(MidCfg);
+        return P;
+      });
+  if (!Lo)
+    return R;
+  R.SlackTicks = *Lo;
+  R.SlackFactor = Factor(*Lo);
   R.HasPassing = true;
   R.LargestPassing = std::move(LoCfg);
   R.HasFailing = true;
@@ -282,18 +296,14 @@ PeriodIntervalResult periodQuery(const cfg::Config &Base, int Gid,
   // Largest passing index in the descending list (feasibility is a prefix
   // under the demand-monotonicity argument; the endpoints actually probed
   // are exact either way).
-  int Lo = -1, Hi = static_cast<int>(Divs.size());
-  while (Hi - Lo > 1) {
-    int Mid = Lo + (Hi - Lo) / 2;
-    Probe P = E.probe(withPeriod(Base, Gid, Divs[static_cast<size_t>(Mid)]));
-    if (P == Probe::Undecided)
-      return R;
-    if (P == Probe::Pass)
-      Lo = Mid;
-    else
-      Hi = Mid;
-  }
-  R.MinFeasiblePeriod = Lo >= 0 ? Divs[static_cast<size_t>(Lo)] : R.BasePeriod;
+  std::optional<int64_t> Lo =
+      bisect(-1, static_cast<int64_t>(Divs.size()), 1, [&](int64_t Mid) {
+        return E.probe(withPeriod(Base, Gid, Divs[static_cast<size_t>(Mid)]));
+      });
+  if (!Lo)
+    return R;
+  R.MinFeasiblePeriod =
+      *Lo >= 0 ? Divs[static_cast<size_t>(*Lo)] : R.BasePeriod;
   R.Decided = true;
   return R;
 }
@@ -337,20 +347,14 @@ OffsetIntervalResult offsetQuery(const cfg::Config &Base, int Gid,
       return true;
     }
     cfg::TimeValue Sign = Edge > 0 ? 1 : -1;
-    cfg::TimeValue Lo = 0, Hi = Edge * Sign; // magnitudes
-    while (Hi - Lo > E.Opts.ToleranceTicks) {
-      cfg::TimeValue Mid = Lo + (Hi - Lo) / 2;
-      if (Mid == Lo)
-        break;
-      Probe PM = E.probe(withWindowShift(Base, Part, Mid * Sign));
-      if (PM == Probe::Undecided)
-        return false;
-      if (PM == Probe::Pass)
-        Lo = Mid;
-      else
-        Hi = Mid;
-    }
-    OutShift = Lo * Sign;
+    // Bisect over magnitudes.
+    std::optional<cfg::TimeValue> Lo = bisect(
+        0, Edge * Sign, E.Opts.ToleranceTicks, [&](cfg::TimeValue Mid) {
+          return E.probe(withWindowShift(Base, Part, Mid * Sign));
+        });
+    if (!Lo)
+      return false;
+    OutShift = *Lo * Sign;
     OutUnbounded = false;
     return true;
   };
@@ -390,20 +394,15 @@ BreakdownFrontierResult frontierQuery(const cfg::Config &Base,
     R.Decided = true;
     return R;
   }
-  int Lo = 1000, Hi = R.DomainMaxPermille;
-  while (Hi - Lo > FrontierTolerancePermille) {
-    int Mid = Lo + (Hi - Lo) / 2;
-    if (Mid == Lo)
-      break;
-    Probe P = E.probe(withUniformInflation(Base, Mid));
-    if (P == Probe::Undecided)
-      return R;
-    if (P == Probe::Pass)
-      Lo = Mid;
-    else
-      Hi = Mid;
-  }
-  R.FrontierPermille = Lo;
+  std::optional<int64_t> Lo =
+      bisect(1000, R.DomainMaxPermille, FrontierTolerancePermille,
+             [&](int64_t Mid) {
+               return E.probe(
+                   withUniformInflation(Base, static_cast<int>(Mid)));
+             });
+  if (!Lo)
+    return R;
+  R.FrontierPermille = static_cast<int>(*Lo);
   R.Decided = true;
   return R;
 }
@@ -508,9 +507,6 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
                         : Q.Kind == KOffset  ? "sensitivity.offset"
                                              : "sensitivity.frontier";
     obs::ScopedTimer QueryTimer(Phase);
-    obs::Span QuerySpan("query", "sensitivity");
-    QuerySpan.arg("param", Q.Kind);
-    QuerySpan.arg("task", Q.Gid);
     ProbeEngine E(Options, Cache, Arenas[static_cast<size_t>(Slot)]);
     switch (Q.Kind) {
     case KWcet: {
@@ -540,7 +536,6 @@ swa::analysis::analyzeSensitivity(const cfg::Config &Config,
     }
     ProbeCounts[static_cast<size_t>(I)] = E.Probes;
     Errors[static_cast<size_t>(I)] = E.ErrMsg;
-    QuerySpan.arg("probes", E.Probes);
   });
 
   for (size_t I = 0; I < Queries.size(); ++I) {

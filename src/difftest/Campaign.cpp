@@ -9,7 +9,7 @@
 #include "configio/ConfigXml.h"
 #include "core/InstanceBuilder.h"
 #include "gen/Adversarial.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "support/Rng.h"
 #include "xml/Xml.h"
 
@@ -80,9 +80,7 @@ CampaignResult swa::difftest::runCampaign(const CampaignOptions &Options) {
   CampaignResult Res;
   for (int I = 0; I < Options.NumConfigs; ++I) {
     uint64_t ConfigSeed = campaignConfigSeed(Options.Seed, I);
-    obs::Span ConfigSpan("difftest.config", "difftest");
-    ConfigSpan.arg("config", I);
-    ConfigSpan.arg("seed", static_cast<int64_t>(ConfigSeed));
+    obs::ScopedTimer ConfigTimer("difftest.config");
     Rng R(ConfigSeed);
     cfg::Config C = gen::adversarialConfig(R);
 

@@ -15,7 +15,7 @@
 #include "core/SystemTrace.h"
 #include "difftest/TraceInvariants.h"
 #include "mc/ModelChecker.h"
-#include "obs/Span.h"
+#include "obs/Timer.h"
 #include "sa/Compile.h"
 #include "support/StringUtils.h"
 
@@ -109,7 +109,7 @@ OracleReport swa::difftest::runOracles(const cfg::Config &Config,
   }
   nsa::Simulator Sim(*Model->Net);
   nsa::SimResult Primary = [&] {
-    obs::Span VmSpan("vm.run", "difftest");
+    obs::ScopedTimer VmTimer("vm.run");
     return Sim.run(SimOpts);
   }();
   if (Options.CheckInvariants)
@@ -147,7 +147,7 @@ OracleReport swa::difftest::runOracles(const cfg::Config &Config,
       NoVm.WallClockBudgetMs = Options.SimBudgetMs;
       nsa::Simulator Sim2(*Stripped->Net);
       nsa::SimResult Interp = [&] {
-        obs::Span InterpSpan("interp.run", "difftest");
+        obs::ScopedTimer InterpTimer("interp.run");
         return Sim2.run(NoVm);
       }();
       if (!Interp.ok()) {

@@ -6,9 +6,11 @@
 
 #include "obs/Timer.h"
 
+#include "obs/RunReport.h"
 #include "obs/ThreadSharded.h"
 #include "support/StringUtils.h"
 
+#include <fstream>
 #include <ostream>
 
 using namespace swa;
@@ -111,4 +113,138 @@ void PhaseTree::render(std::ostream &OS, const Node &Root) {
 void PhaseTree::reset() {
   Root = Node();
   Stack.assign(1, &Root);
+}
+
+//===----------------------------------------------------------------------===//
+// The span timeline
+//===----------------------------------------------------------------------===//
+
+namespace {
+bool SpansFlag = false;
+
+/// One finished phase. Times are nanoseconds since the trace epoch.
+struct SpanRecord {
+  const char *Name = nullptr;
+  uint64_t BeginNs = 0;
+  uint64_t EndNs = 0;
+};
+
+/// One thread's span ring. Written only by the owning thread; read by
+/// writeChromeTrace()/spanCount() at quiescent points (the callers hold a
+/// happens-before edge to every recording thread, e.g. a joined pool).
+struct SpanRing {
+  std::vector<SpanRecord> Buf; // sized lazily to spanRingCapacity()
+  uint64_t Head = 0;           // total spans ever recorded
+
+  void record(const SpanRecord &R) {
+    if (Buf.empty())
+      Buf.resize(spanRingCapacity());
+    Buf[Head % spanRingCapacity()] = R;
+    ++Head;
+  }
+
+  uint64_t dropped() const {
+    return Head > spanRingCapacity() ? Head - spanRingCapacity() : 0;
+  }
+
+  uint64_t buffered() const { return Head - dropped(); }
+};
+
+// Intentionally leaked, like trees().
+detail::ThreadSharded<SpanRing> &rings() {
+  static auto *R = new detail::ThreadSharded<SpanRing>();
+  return *R;
+}
+
+/// The process trace epoch: all span timestamps are relative to the first
+/// use of the timeline, keeping trace-viewer timestamps small.
+std::chrono::steady_clock::time_point traceEpoch() {
+  static const std::chrono::steady_clock::time_point Epoch =
+      std::chrono::steady_clock::now();
+  return Epoch;
+}
+
+uint64_t sinceEpochNs(std::chrono::steady_clock::time_point T) {
+  auto Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                T - traceEpoch())
+                .count();
+  return Ns > 0 ? static_cast<uint64_t>(Ns) : 0;
+}
+} // namespace
+
+bool swa::obs::spansEnabled() { return SpansFlag; }
+
+void swa::obs::setSpansEnabled(bool On) {
+  if (On)
+    traceEpoch(); // pin the epoch before the first span
+  SpansFlag = On;
+}
+
+void swa::obs::detail::recordSpan(const char *Name,
+                                  std::chrono::steady_clock::time_point Begin,
+                                  std::chrono::steady_clock::time_point End) {
+  rings().local().record({Name, sinceEpochNs(Begin), sinceEpochNs(End)});
+}
+
+size_t swa::obs::spanCount() {
+  size_t Total = 0;
+  rings().forEach(
+      [&](SpanRing &R, int) { Total += static_cast<size_t>(R.buffered()); });
+  return Total;
+}
+
+uint64_t swa::obs::spansDropped() {
+  uint64_t Total = 0;
+  rings().forEach([&](SpanRing &R, int) { Total += R.dropped(); });
+  return Total;
+}
+
+void swa::obs::resetSpans() {
+  rings().forEach([](SpanRing &R, int) {
+    R.Buf.clear();
+    R.Head = 0;
+  });
+}
+
+void swa::obs::writeChromeTrace(std::ostream &OS) {
+  OS << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool First = true;
+  rings().forEach([&](SpanRing &R, int Tid) {
+    if (R.Head == 0)
+      return;
+    // Thread-name metadata so viewers label the lane by shard id.
+    if (!First)
+      OS << ",";
+    First = false;
+    OS << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" << Tid
+       << ",\"args\":{\"name\":\"shard-" << Tid << "\"}}";
+    for (uint64_t I = R.dropped(); I < R.Head; ++I) {
+      const SpanRecord &S = R.Buf[I % spanRingCapacity()];
+      // Complete event; microsecond timestamps with ns precision kept in
+      // the fraction.
+      OS << ",{\"name\":\"" << jsonEscape(S.Name) << "\",\"ph\":\"X\",\"ts\":"
+         << formatString("%.3f", static_cast<double>(S.BeginNs) / 1e3)
+         << ",\"dur\":"
+         << formatString("%.3f",
+                         static_cast<double>(S.EndNs - S.BeginNs) / 1e3)
+         << ",\"pid\":1,\"tid\":" << Tid << "}";
+    }
+  });
+  OS << "]}\n";
+}
+
+bool swa::obs::writeChromeTraceFile(const std::string &Path,
+                                    std::string &Error) {
+  std::ofstream OS(Path);
+  if (!OS) {
+    Error = "cannot open " + Path + " for writing";
+    return false;
+  }
+  writeChromeTrace(OS);
+  OS.flush();
+  if (!OS) {
+    Error = "write to " + Path + " failed";
+    return false;
+  }
+  return true;
 }

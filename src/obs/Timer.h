@@ -22,12 +22,24 @@
 ///
 /// When obs::enabled() is false a ScopedTimer is a single branch and no
 /// clock read — the instrumented code paths cost nothing in production
-/// runs. When span recording is also on, every finished phase is recorded
-/// as a "phase"-category span into the same Chrome-trace timeline.
+/// runs.
 ///
-/// Phase names must be string literals (or otherwise outlive the process):
-/// spans store the pointer, and every instrumented phase in the tree is
-/// named by a literal anyway.
+/// The same timers feed the timeline: when span recording is also on
+/// (setSpansEnabled), every finished phase is stored as a span — name,
+/// begin, end — in a bounded per-thread ring, and writeChromeTrace()
+/// serializes the rings as `trace_event` JSON loadable by chrome://tracing
+/// and Perfetto, one lane per thread (the recording thread's stable shard
+/// id). No lock and, once a ring exists, no allocation on the hot path. A
+/// full ring overwrites its oldest spans and counts them in spansDropped(),
+/// so a pathological run degrades to a truncated timeline instead of
+/// unbounded memory. ScopedTimer is the only instrument that measures
+/// time: every event in the timeline is a phase of the tree.
+///
+/// Like every obs layer, phases are pure observers: nothing reads them
+/// back, so timing a run cannot change a verdict or a trace. Phase names
+/// must be string literals (or otherwise outlive the process): the ring
+/// stores the pointer, and every instrumented phase is named by a literal
+/// anyway.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +47,9 @@
 #define SWA_OBS_TIMER_H
 
 #include "obs/Metrics.h"
-#include "obs/Span.h"
 
 #include <chrono>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -104,6 +116,17 @@ private:
   std::vector<Node *> Stack{&Root};
 };
 
+/// Span recording switch: process-wide, independent of the metrics switch
+/// (which every phase needs too).
+bool spansEnabled();
+void setSpansEnabled(bool On);
+
+namespace detail {
+/// Appends one finished phase to the calling thread's span ring.
+void recordSpan(const char *Name, std::chrono::steady_clock::time_point Begin,
+                std::chrono::steady_clock::time_point End);
+} // namespace detail
+
 /// RAII phase timer. Inactive (and free apart from one branch) when
 /// obs::enabled() is false at construction. \p Phase must be a string
 /// literal.
@@ -130,7 +153,7 @@ public:
             .count();
     PhaseTree::current().pop(static_cast<uint64_t>(Ns));
     if (spansEnabled())
-      recordSpan(Name, "phase", Start, End);
+      detail::recordSpan(Name, Start, End);
   }
 
 private:
@@ -138,6 +161,29 @@ private:
   const char *Name = nullptr;
   std::chrono::steady_clock::time_point Start;
 };
+
+/// Per-thread ring capacity, in spans.
+constexpr size_t spanRingCapacity() { return size_t(1) << 14; }
+
+/// Spans currently buffered across all threads.
+size_t spanCount();
+
+/// Spans overwritten because a ring wrapped, across all threads.
+uint64_t spansDropped();
+
+/// Clears every ring (buffered spans and drop counts). Call only at
+/// quiescent points.
+void resetSpans();
+
+/// Serializes every buffered span (all threads, oldest surviving first per
+/// thread) as Chrome `trace_event` JSON: one object with "traceEvents"
+/// complete events ("ph":"X", microsecond timestamps) plus thread-name
+/// metadata. Call at quiescent points.
+void writeChromeTrace(std::ostream &OS);
+
+/// writeChromeTrace() to \p Path; returns false and fills \p Error when the
+/// file cannot be opened or the write fails.
+bool writeChromeTraceFile(const std::string &Path, std::string &Error);
 
 } // namespace obs
 } // namespace swa

@@ -10,7 +10,6 @@
 #include "analysis/ModelArena.h"
 #include "config/Decompose.h"
 #include "config/Fingerprint.h"
-#include "obs/Span.h"
 #include "obs/Timer.h"
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
@@ -370,10 +369,7 @@ void lookupRound(const SearchContext &Ctx, RoundWork &W) {
 
 /// Runs one simulation of the round's list on the arena of pool slot
 /// \p Slot.
-Eval simulate(SearchContext &Ctx, const Sim &S, int Index, int Slot) {
-  obs::Span Span("simulate.component", "search");
-  Span.arg("cand", S.FirstCand);
-  Span.arg("sim", Index);
+Eval simulate(SearchContext &Ctx, const Sim &S, int Slot) {
   Eval E;
   Result<analysis::VerdictOutcome> Out = analysis::analyzeVerdictOnly(
       *S.Sub, Ctx.SimOpts, &Ctx.Arenas[static_cast<size_t>(Slot)]);
@@ -387,7 +383,7 @@ Eval simulate(SearchContext &Ctx, const Sim &S, int Index, int Slot) {
 }
 
 /// Simulate: each worker builds (or rebinds) its own model and publishes
-/// counters, phase timings and spans into its own thread shard, so more
+/// counters and phase timings into its own thread shard, so more
 /// workers cannot race on the registry — and the merged totals stay
 /// identical because every simulation publishes the same numbers on
 /// whichever thread runs it.
@@ -396,7 +392,7 @@ void simulateRound(SearchContext &Ctx, RoundWork &W) {
   Ctx.Pool.parallelFor(static_cast<int>(W.Sims.size()),
                        [&](int I, int Slot) {
                          W.SimEvals[static_cast<size_t>(I)] = simulate(
-                             Ctx, W.Sims[static_cast<size_t>(I)], I, Slot);
+                             Ctx, W.Sims[static_cast<size_t>(I)], Slot);
                        });
 }
 
@@ -481,13 +477,6 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
     if (Ctx.Problem.CkptStats)
       Ctx.Problem.CkptStats->SnapshotHits +=
           static_cast<uint64_t>(Plan.SnapHits);
-    // Per-candidate metadata span: component count, verdict provenance
-    // (src: 0 sim / 1 hit), stop reason, badness. It rides the serial
-    // reduce, so its args are identical for any worker count.
-    obs::Span CandSpan("candidate", "search");
-    CandSpan.arg("comps", static_cast<int64_t>(Plan.Comps.size()));
-    CandSpan.arg("src", Plan.hit() ? 1 : 0);
-    CandSpan.arg("stop", static_cast<int64_t>(E.V.Stop));
     ++Res.StopReasonCounts[static_cast<size_t>(E.V.Stop)];
     if (!E.V.decided()) {
       // The guard rails (per-candidate budget / cancellation) ended the
@@ -502,7 +491,6 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
     }
     ++Res.ConfigurationsEvaluated;
     int64_t Badness = badnessOf(Ctx.L, E.V);
-    CandSpan.arg("badness", Badness);
     if (E.V.Schedulable) {
       Res.Log.push_back(formatString("iter %d: schedulable", IterJ));
       Found = Res.Found = true;
@@ -565,6 +553,22 @@ Result<bool> reduceRound(SearchContext &Ctx, RoundWork &W, Strategy &Strat,
   return false;
 }
 
+/// One round of \p N candidates through every stage, timed as the `round`
+/// phase. A checkpoint is not part of it: the loop writes those between
+/// rounds.
+Result<bool> runRound(SearchContext &Ctx, Strategy &Strat, LoopState &LS,
+                      RoundWork &W, SearchResult &Res, int N) {
+  obs::ScopedTimer Timer("round");
+  W.reset(LS.Round, N);
+  generateRound(Ctx.Problem, Strat, LS, W);
+  for (int J = 0; J < N; ++J)
+    if (W.Cands[static_cast<size_t>(J)].Valid)
+      planCandidate(Ctx, W, J);
+  lookupRound(Ctx, W);
+  simulateRound(Ctx, W);
+  return reduceRound(Ctx, W, Strat, LS, Res);
+}
+
 /// Checkpoint: cache contents + loop state at a round boundary, written
 /// atomically (old-or-new, never torn). A write failure is recorded and
 /// swallowed: a full disk or read-only filesystem must not change what the
@@ -576,8 +580,7 @@ void writeCheckpoint(const SearchContext &Ctx, const LoopState &LS,
                      int NextRound, const SearchResult &Res,
                      const Strategy &Strat) {
   const SearchProblem &Problem = Ctx.Problem;
-  obs::Span CkptSpan("checkpoint", "search");
-  CkptSpan.arg("iter", LS.Iter);
+  obs::ScopedTimer Timer("checkpoint");
   Snapshot S;
   S.captureCache(Ctx.Cache);
   S.HasSearchState = true;
@@ -753,18 +756,7 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
       }
     }
     int N = std::min(Batch, Problem.MaxIterations - LS.Iter);
-    obs::Span RoundSpan("batch", "search");
-    RoundSpan.arg("round", LS.Round);
-    RoundSpan.arg("n", N);
-
-    W.reset(LS.Round, N);
-    generateRound(Problem, *Strat, LS, W);
-    for (int J = 0; J < N; ++J)
-      if (W.Cands[static_cast<size_t>(J)].Valid)
-        planCandidate(Ctx, W, J);
-    lookupRound(Ctx, W);
-    simulateRound(Ctx, W);
-    Result<bool> Found = reduceRound(Ctx, W, *Strat, LS, Res);
+    Result<bool> Found = runRound(Ctx, *Strat, LS, W, Res, N);
     if (!Found.ok())
       return Found.takeError();
     if (*Found) {

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Covers the src/obs layer (thread-sharded counters/histograms/registry,
-// per-thread phase trees with deterministic merge, span ring buffers with
+// per-thread phase trees with deterministic merge, the phase timeline with
 // Chrome trace export, run reports, JSONL sink) and its engine
 // integration: the overhead guard proving that attaching metrics and a
 // JSONL sink never perturbs the deterministic run, the full-observability
@@ -15,21 +15,27 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
+#include "analysis/Sensitivity.h"
 #include "core/InstanceBuilder.h"
+#include "difftest/Campaign.h"
+#include "gen/Workload.h"
 #include "nsa/JsonlSink.h"
 #include "nsa/Simulator.h"
 #include "obs/Metrics.h"
 #include "obs/RunReport.h"
-#include "obs/Span.h"
 #include "obs/Timer.h"
 #include "schedtool/ConfigSearch.h"
+#include "schedtool/Snapshot.h"
 #include "support/Crc32.h"
 #include "tests/TestConfigs.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -629,20 +635,57 @@ TEST(ObsSharded, CountersAndHistogramsMergeAcrossThreads) {
 }
 
 //===----------------------------------------------------------------------===//
-// Spans and the Chrome trace exporter
+// The phase timeline and the Chrome trace exporter
 //===----------------------------------------------------------------------===//
 
-TEST(ObsSpan, RecordsAndExportsChromeTrace) {
+/// Names of every complete ("ph":"X") event in a Chrome trace document.
+/// Each event object is the innermost one opened before its "ph" key.
+std::vector<std::string> traceEventNames(const std::string &Doc) {
+  std::vector<std::string> Names;
+  const std::string Ph = "\"ph\":\"X\"", Key = "\"name\":\"";
+  for (size_t At = Doc.find(Ph); At != std::string::npos;
+       At = Doc.find(Ph, At + 1)) {
+    size_t Open = Doc.rfind('{', At);
+    size_t N = Doc.find(Key, Open);
+    if (Open == std::string::npos || N == std::string::npos || N > At) {
+      ADD_FAILURE() << "event without a name before offset " << At;
+      continue;
+    }
+    N += Key.size();
+    Names.push_back(Doc.substr(N, Doc.find('"', N) - N));
+  }
+  return Names;
+}
+
+void collectPhaseNames(const obs::PhaseTree::Node &N,
+                       std::set<std::string> &Out) {
+  for (const auto &C : N.Children) {
+    Out.insert(C->Name);
+    collectPhaseNames(*C, Out);
+  }
+}
+
+/// Checks that every event of the current timeline names a phase of the
+/// merged phase tree, and that there is at least one.
+void expectEveryEventIsAPhase(const std::string &What) {
+  std::ostringstream OS;
+  obs::writeChromeTrace(OS);
+  std::vector<std::string> Events = traceEventNames(OS.str());
+  EXPECT_FALSE(Events.empty()) << What;
+  std::set<std::string> Phases;
+  collectPhaseNames(obs::PhaseTree::mergedRoot(), Phases);
+  for (const std::string &E : Events)
+    EXPECT_TRUE(Phases.count(E)) << What << ": trace event '" << E
+                                 << "' is not a phase";
+}
+
+TEST(ObsTimeline, RecordsPhasesAndExportsChromeTrace) {
   ObsScope Scope(/*On=*/true, /*Spans=*/true);
   {
-    obs::Span S("unit-span", "test");
-    S.arg("x", 42);
-    S.arg("y", -7);
+    obs::ScopedTimer Outer("outer-phase");
+    obs::ScopedTimer Inner("inner-phase");
   }
-  {
-    obs::ScopedTimer T("span-phase"); // Phases land in the same timeline.
-  }
-  EXPECT_GE(obs::spanCount(), 2u);
+  EXPECT_EQ(obs::spanCount(), 2u);
   EXPECT_EQ(obs::spansDropped(), 0u);
 
   std::ostringstream OS;
@@ -652,36 +695,136 @@ TEST(ObsSpan, RecordsAndExportsChromeTrace) {
     Doc.pop_back();
   EXPECT_TRUE(JsonChecker(Doc).valid()) << Doc;
   EXPECT_NE(Doc.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"unit-span\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"span-phase\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(Doc.find("\"x\":42"), std::string::npos);
-  EXPECT_NE(Doc.find("\"y\":-7"), std::string::npos);
+  // Inner closes first, so it is the older entry of the lane.
+  EXPECT_EQ(traceEventNames(Doc),
+            (std::vector<std::string>{"inner-phase", "outer-phase"}));
 }
 
-TEST(ObsSpan, DisabledSpansRecordNothing) {
+TEST(ObsTimeline, NeedsBothSwitches) {
+  {
+    // Spans without metrics: the timer is inactive and records nothing.
+    ObsScope Scope(/*On=*/false, /*Spans=*/true);
+    {
+      obs::ScopedTimer T("unmeasured");
+    }
+    EXPECT_EQ(obs::spanCount(), 0u);
+  }
+  // Metrics without spans: the phase is timed, the timeline stays empty.
   ObsScope Scope(/*On=*/true, /*Spans=*/false);
   {
-    obs::Span S("invisible", "test");
-    S.arg("x", 1);
+    obs::ScopedTimer T("untraced");
   }
   EXPECT_EQ(obs::spanCount(), 0u);
   std::ostringstream OS;
   obs::writeChromeTrace(OS);
-  EXPECT_EQ(OS.str().find("invisible"), std::string::npos);
+  EXPECT_TRUE(traceEventNames(OS.str()).empty()) << OS.str();
+  EXPECT_NE(obs::PhaseTree::mergedRoot().child("untraced"), nullptr);
 }
 
-TEST(ObsSpan, RingOverwritesOldestAndCountsDrops) {
+TEST(ObsTimeline, RingOverwritesOldestAndCountsDrops) {
   ObsScope Scope(/*On=*/true, /*Spans=*/true);
-  auto Now = std::chrono::steady_clock::now();
   const size_t Extra = 10;
   for (size_t I = 0; I < obs::spanRingCapacity() + Extra; ++I)
-    obs::recordSpan("flood", "test", Now, Now);
+    obs::ScopedTimer T("flood");
   EXPECT_EQ(obs::spanCount(), obs::spanRingCapacity());
   EXPECT_EQ(obs::spansDropped(), Extra);
   obs::resetSpans();
   EXPECT_EQ(obs::spanCount(), 0u);
   EXPECT_EQ(obs::spansDropped(), 0u);
+}
+
+TEST(ObsTimeline, TraceFileWriteFailuresAreReported) {
+  ObsScope Scope(/*On=*/true, /*Spans=*/true);
+  {
+    obs::ScopedTimer T("file-phase");
+  }
+  std::string Err;
+  const std::string Path = ::testing::TempDir() + "swa-obs-trace.json";
+  ASSERT_TRUE(obs::writeChromeTraceFile(Path, Err)) << Err;
+  std::ifstream In(Path);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  EXPECT_EQ(traceEventNames(Buf.str()),
+            std::vector<std::string>{"file-phase"});
+  std::remove(Path.c_str());
+
+  const std::string Missing = "/nonexistent-swa-dir/trace.json";
+  EXPECT_FALSE(obs::writeChromeTraceFile(Missing, Err));
+  EXPECT_EQ(Err, "cannot open " + Missing + " for writing");
+
+  // /dev/full opens but fails every write: the failure must surface.
+  if (std::ifstream("/dev/full").good()) {
+    Err.clear();
+    EXPECT_FALSE(obs::writeChromeTraceFile("/dev/full", Err));
+    EXPECT_EQ(Err, "write to /dev/full failed");
+  }
+}
+
+TEST(ObsTimeline, EveryTraceEventIsAPhase) {
+  // A checkpointing search: 12 iterations of a problem too hard to solve,
+  // so it runs 3 rounds of 4 and checkpoints at the top of each round
+  // plus once at the end.
+  gen::IndustrialParams Params;
+  Params.Modules = 2;
+  Params.CoresPerModule = 2;
+  Params.PartitionsPerCore = 2;
+  Params.CoreUtilization = 0.8;
+  Params.Seed = 4;
+  schedtool::SearchProblem Problem;
+  Problem.Base = gen::industrialConfig(Params);
+  for (cfg::Partition &P : Problem.Base.Partitions) {
+    P.Core = -1;
+    P.Windows.clear();
+  }
+  Problem.Seed = 4;
+  Problem.MaxIterations = 12;
+  Problem.BatchSize = 4;
+  Problem.CheckpointPath = ::testing::TempDir() + "swa-obs-timeline.bin";
+  for (int Workers : {1, 2}) {
+    ObsScope Scope(/*On=*/true, /*Spans=*/true);
+    schedtool::SnapshotStats Stats;
+    Problem.CkptStats = &Stats;
+    Problem.Workers = Workers;
+    Result<schedtool::SearchResult> Res =
+        schedtool::searchConfiguration(Problem);
+    ASSERT_TRUE(Res.ok()) << Res.error().message();
+    expectEveryEventIsAPhase("search at Workers=" + std::to_string(Workers));
+    if (Workers != 1)
+      continue;
+    uint64_t Rounds = 0;
+    for (const std::string &Line : Res->Log)
+      Rounds += Line.rfind("round ", 0) == 0;
+    EXPECT_EQ(Rounds, 3u);
+    obs::PhaseTree::Node Root = obs::PhaseTree::mergedRoot();
+    const obs::PhaseTree::Node *Search = Root.child("schedtool.search");
+    ASSERT_NE(Search, nullptr);
+    const obs::PhaseTree::Node *Round = Search->child("round");
+    const obs::PhaseTree::Node *Ckpt = Search->child("checkpoint");
+    ASSERT_NE(Round, nullptr);
+    ASSERT_NE(Ckpt, nullptr);
+    EXPECT_EQ(Round->Count, Rounds);
+    EXPECT_EQ(Ckpt->Count, Stats.SnapshotsWritten);
+    EXPECT_EQ(Stats.SnapshotsWritten, 4u);
+  }
+  std::remove(Problem.CheckpointPath.c_str());
+
+  {
+    ObsScope Scope(/*On=*/true, /*Spans=*/true);
+    analysis::SensitivityOptions Opts;
+    Opts.Workers = 2;
+    Result<analysis::SensitivityResult> Res =
+        analysis::analyzeSensitivity(testcfg::twoTasksOneCore(), Opts);
+    ASSERT_TRUE(Res.ok()) << Res.error().message();
+    expectEveryEventIsAPhase("sensitivity");
+  }
+  {
+    ObsScope Scope(/*On=*/true, /*Spans=*/true);
+    difftest::CampaignOptions Opts;
+    Opts.Seed = 7;
+    Opts.NumConfigs = 3;
+    difftest::runCampaign(Opts);
+    expectEveryEventIsAPhase("difftest campaign");
+  }
 }
 
 //===----------------------------------------------------------------------===//
