@@ -11,7 +11,6 @@
 //   $ ./config_search [seed] [--workers N] [--budget-ms MS]
 //                     [--checkpoint FILE] [--checkpoint-every-ms MS]
 //                     [--resume] [--trace-out FILE] [--report-out FILE]
-//                     [--strategy NAME]
 //
 // --workers evaluates candidate batches on N threads; the result is
 // byte-identical for every N. --budget-ms caps each candidate's
@@ -33,8 +32,6 @@
 // prints. A corrupt, truncated or foreign snapshot is rejected with a
 // typed error and the search starts cold — never a wrong answer.
 //
-// --strategy picks the metaheuristic (local | annealing | genetic).
-//
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Report.h"
@@ -44,7 +41,6 @@
 #include "obs/Timer.h"
 #include "schedtool/ConfigSearch.h"
 #include "schedtool/Snapshot.h"
-#include "schedtool/Strategy.h"
 #include "support/StringUtils.h"
 
 #include <chrono>
@@ -58,7 +54,6 @@ static const char kUsage[] =
     "usage: config_search [seed] [--workers N] [--budget-ms MS]\n"
     "                     [--checkpoint FILE] [--checkpoint-every-ms MS]\n"
     "                     [--resume] [--trace-out FILE] [--report-out FILE]\n"
-    "                     [--strategy NAME]\n"
     "N is 1..256; MS values are non-negative integers\n";
 
 int main(int argc, char **argv) {
@@ -69,7 +64,6 @@ int main(int argc, char **argv) {
   const char *CheckpointPath = nullptr;
   int64_t CheckpointEveryMs = 0;
   bool Resume = false;
-  std::string StrategyName;
   for (int I = 1; I < argc; ++I) {
     // Numeric flags: a value outside [Min, Max] — negative, malformed or
     // missing — is a usage error, never a silent default.
@@ -102,8 +96,6 @@ int main(int argc, char **argv) {
       TraceOut = argv[++I];
     else if (std::strcmp(argv[I], "--report-out") == 0 && I + 1 < argc)
       ReportOut = argv[++I];
-    else if (std::strcmp(argv[I], "--strategy") == 0 && I + 1 < argc)
-      StrategyName = argv[++I];
     else if (!parseDecimal(argv[I], Seed)) {
       std::fprintf(stderr, "error: unrecognized argument '%s'\n%s", argv[I],
                    kUsage);
@@ -141,17 +133,6 @@ int main(int argc, char **argv) {
   Problem.MaxIterations = 40;
   Problem.Workers = static_cast<int>(Workers);
   Problem.CandidateBudgetMs = BudgetMs;
-
-  std::unique_ptr<schedtool::Strategy> Strat;
-  if (!StrategyName.empty()) {
-    Strat = schedtool::makeStrategy(StrategyName);
-    if (!Strat) {
-      std::fprintf(stderr, "error: unknown strategy '%s'\n",
-                   StrategyName.c_str());
-      return 1;
-    }
-    Problem.Strat = Strat.get();
-  }
 
   // Durable search: load the previous checkpoint when asked, and degrade
   // to a cold start — with the rejection reason — when the file is

@@ -12,96 +12,64 @@
 using namespace swa;
 using namespace swa::sa;
 
+std::string CodeSite::label() const {
+  return Func ? "function '" + Owner + "'" : Owner + " " + What;
+}
+
 Error swa::sa::compileNetwork(Network &Net) {
   obs::ScopedTimer Timer("compile");
-  Net.FuncCode.clear();
-  Net.FuncCode.reserve(Net.Bind.FuncTable.size());
-  for (const usl::FuncDecl *F : Net.Bind.FuncTable) {
-    Result<usl::Code> C = usl::compileFunction(*F);
-    if (!C.ok())
-      return C.takeError().withContext("compiling function '" +
-                                       (F->Sym ? F->Sym->Name : "?") + "'");
-    Net.FuncCode.push_back(C.takeValue());
-  }
+  Net.FuncCode.assign(Net.Bind.FuncTable.size(), usl::Code());
+  Error Err = Error::success();
+  forEachCodeSite(Net, [&](const CodeSite &S) {
+    if (Err)
+      return;
+    Result<usl::Code> C = S.Func   ? usl::compileFunction(*S.Func)
+                          : S.Expr ? usl::compileExpr(*S.Expr)
+                                   : usl::compileStmts(*S.Stmts);
+    if (C.ok())
+      S.Code = C.takeValue();
+    else
+      Err = C.takeError().withContext("compiling " + S.label());
+  });
+  return Err;
+}
 
+void swa::sa::forEachCodeSite(
+    Network &Net, const std::function<void(const CodeSite &)> &Fn) {
+  static const std::string Unnamed = "?";
+  for (size_t I = 0; I < Net.FuncCode.size(); ++I) {
+    const usl::FuncDecl *F = Net.Bind.FuncTable[I];
+    Fn({Net.FuncCode[I], F, nullptr, nullptr,
+        F->Sym ? F->Sym->Name : Unnamed, "function"});
+  }
   for (std::unique_ptr<Automaton> &A : Net.Automata) {
-    auto Context = [&](const char *What) {
-      return "compiling " + A->Name + " " + What;
+    auto Expr = [&](usl::Code &C, const usl::Expr &E, const char *What) {
+      Fn({C, nullptr, &E, nullptr, A->Name, What});
     };
     for (Location &L : A->Locations) {
-      if (L.DataInvariant) {
-        Result<usl::Code> C = usl::compileExpr(*L.DataInvariant);
-        if (!C.ok())
-          return C.takeError().withContext(Context("invariant"));
-        L.DataInvariantCode = C.takeValue();
-      }
-      for (ClockUpper &U : L.Uppers) {
-        Result<usl::Code> C = usl::compileExpr(*U.Bound);
-        if (!C.ok())
-          return C.takeError().withContext(Context("invariant bound"));
-        U.BoundCode = C.takeValue();
-      }
-      for (RateCond &R : L.Rates) {
-        Result<usl::Code> C = usl::compileExpr(*R.Rate);
-        if (!C.ok())
-          return C.takeError().withContext(Context("rate condition"));
-        R.RateCode = C.takeValue();
-      }
+      if (L.DataInvariant)
+        Expr(L.DataInvariantCode, *L.DataInvariant, "invariant");
+      for (ClockUpper &U : L.Uppers)
+        Expr(U.BoundCode, *U.Bound, "invariant bound");
+      for (RateCond &R : L.Rates)
+        Expr(R.RateCode, *R.Rate, "rate condition");
     }
     for (Edge &E : A->Edges) {
-      if (E.DataGuard) {
-        Result<usl::Code> C = usl::compileExpr(*E.DataGuard);
-        if (!C.ok())
-          return C.takeError().withContext(Context("guard"));
-        E.DataGuardCode = C.takeValue();
-      }
-      for (ClockGuard &CG : E.ClockGuards) {
-        Result<usl::Code> C = usl::compileExpr(*CG.Bound);
-        if (!C.ok())
-          return C.takeError().withContext(Context("clock guard bound"));
-        CG.BoundCode = C.takeValue();
-      }
-      if (E.Sync && E.Sync->Index) {
-        Result<usl::Code> C = usl::compileExpr(*E.Sync->Index);
-        if (!C.ok())
-          return C.takeError().withContext(Context("sync index"));
-        E.Sync->IndexCode = C.takeValue();
-      }
-      if (!E.Update.empty()) {
-        Result<usl::Code> C = usl::compileStmts(E.Update);
-        if (!C.ok())
-          return C.takeError().withContext(Context("update"));
-        E.UpdateCode = C.takeValue();
-      }
+      if (E.DataGuard)
+        Expr(E.DataGuardCode, *E.DataGuard, "guard");
+      for (ClockGuard &CG : E.ClockGuards)
+        Expr(CG.BoundCode, *CG.Bound, "clock guard bound");
+      if (E.Sync && E.Sync->Index)
+        Expr(E.Sync->IndexCode, *E.Sync->Index, "sync index");
+      if (!E.Update.empty())
+        Fn({E.UpdateCode, nullptr, nullptr, &E.Update, A->Name, "update"});
     }
   }
-  return Error::success();
 }
 
 void swa::sa::forEachCodeSite(Network &Net,
                               const std::function<void(usl::Code &)> &Fn) {
-  for (usl::Code &C : Net.FuncCode)
-    Fn(C);
-  for (std::unique_ptr<Automaton> &A : Net.Automata) {
-    for (Location &L : A->Locations) {
-      if (L.DataInvariant)
-        Fn(L.DataInvariantCode);
-      for (ClockUpper &U : L.Uppers)
-        Fn(U.BoundCode);
-      for (RateCond &R : L.Rates)
-        Fn(R.RateCode);
-    }
-    for (Edge &E : A->Edges) {
-      if (E.DataGuard)
-        Fn(E.DataGuardCode);
-      for (ClockGuard &CG : E.ClockGuards)
-        Fn(CG.BoundCode);
-      if (E.Sync && E.Sync->Index)
-        Fn(E.Sync->IndexCode);
-      if (!E.Update.empty())
-        Fn(E.UpdateCode);
-    }
-  }
+  forEachCodeSite(Net, [&](const CodeSite &S) { Fn(S.Code); });
 }
 
 void swa::sa::stripBytecode(Network &Net) {

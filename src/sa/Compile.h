@@ -20,6 +20,8 @@
 #include "sa/Network.h"
 
 #include <functional>
+#include <string>
+#include <vector>
 
 namespace swa {
 namespace sa {
@@ -33,11 +35,34 @@ Error compileNetwork(Network &Net);
 /// differential harness's VM-vs-interpreter oracle pair.
 void stripBytecode(Network &Net);
 
-/// Visits every bytecode site of \p Net in the order compileNetwork fills
-/// them: functions, then per automaton its location invariants, bounds and
-/// rates, then its edge guards, bounds, sync indices and updates. Only
-/// sites that have source code are visited. stripBytecode clears through
-/// this walk, so it is the one definition of which sites exist.
+/// One bytecode site of a network: the slot its code lives in, the source
+/// it compiles from (exactly one of Func, Expr and Stmts is set), and the
+/// names that label it in compile errors.
+struct CodeSite {
+  usl::Code &Code;
+  const usl::FuncDecl *Func;
+  const usl::Expr *Expr;
+  const std::vector<usl::StmtPtr> *Stmts;
+  /// The function's or the automaton's name.
+  const std::string &Owner;
+  /// The site's kind: "function", "invariant", "guard", "update", ...
+  const char *What;
+
+  /// "function 'f'" or "<automaton> <kind>".
+  std::string label() const;
+};
+
+/// Visits every bytecode site of \p Net in one fixed order: functions, then
+/// per automaton its location invariants, bounds and rates, then its edge
+/// guards, bounds, sync indices and updates. Only sites that have source
+/// code are visited, and functions only as far as Net.FuncCode holds slots
+/// for them (compileNetwork sizes it to Bind.FuncTable first).
+/// compileNetwork fills and stripBytecode clears through this walk, so it
+/// is the one definition of which sites exist.
+void forEachCodeSite(Network &Net,
+                     const std::function<void(const CodeSite &)> &Fn);
+
+/// The same walk, visiting each site's code slot only.
 void forEachCodeSite(Network &Net, const std::function<void(usl::Code &)> &Fn);
 
 } // namespace sa

@@ -603,24 +603,29 @@ void writeCheckpoint(const SearchContext &Ctx, const LoopState &LS,
   }
 }
 
+/// \p C with every binding and window cleared: the part of a config the
+/// search never changes.
+cfg::Config unbound(cfg::Config C) {
+  for (cfg::Partition &P : C.Partitions) {
+    P.Core = -1;
+    P.Windows.clear();
+  }
+  return C;
+}
+
 /// Why the checkpointed loop state of \p Snap cannot continue a search over
-/// \p Base, or "" when it can. The strategy indexes Boost by partition and
-/// Cores by a partition's core, so every count must be the base's and
-/// every core index in range.
+/// \p Base, or "" when it can. The incumbent must be a binding of the base:
+/// the same cores, partitions, tasks and messages, every partition bound to
+/// a core in range, and one boost per partition.
 std::string misfit(const Snapshot &Snap, const cfg::Config &Base) {
   const cfg::Config &C = Snap.Current;
   if (Snap.Iter < 0 || Snap.NextRound < 0)
     return "negative loop position";
-  if (C.Cores.size() != Base.Cores.size())
-    return "core count differs from the base";
-  if (C.Partitions.size() != Base.Partitions.size())
-    return "partition count differs from the base";
+  if (encodeConfigBytes(unbound(C)) != encodeConfigBytes(unbound(Base)))
+    return "incumbent is not a binding of the base";
   if (Snap.Boost.size() != C.Partitions.size())
     return "boost count differs from the partition count";
   for (size_t P = 0; P < C.Partitions.size(); ++P) {
-    if (C.Partitions[P].Tasks.size() != Base.Partitions[P].Tasks.size())
-      return formatString("partition %zu's task count differs from the base",
-                          P);
     int Core = C.Partitions[P].Core;
     if (Core < 0 || static_cast<size_t>(Core) >= C.Cores.size())
       return formatString("partition %zu is bound to core %d of %zu", P, Core,
@@ -692,16 +697,12 @@ swa::schedtool::searchConfiguration(const SearchProblem &Problem) {
   // with those cleared; everything else must already be valid — first-fit
   // binding reads each task's WCETs, and an invalid task would fail every
   // candidate's validation until the iterations ran out.
-  cfg::Config Shape = Problem.Base;
-  for (cfg::Partition &P : Shape.Partitions) {
-    P.Core = -1;
-    P.Windows.clear();
-  }
-  if (Error E = Shape.validate(cfg::ValidationPolicy::AllowUnbound))
+  if (Error E = unbound(Problem.Base)
+                    .validate(cfg::ValidationPolicy::AllowUnbound))
     return E.withContext("search base");
 
-  // The metaheuristic: explicit (--strategy) or the built-in local
-  // search, which reproduces the historical loop draw for draw.
+  // The metaheuristic: the caller's (SearchProblem::Strat) or the built-in
+  // local search, which reproduces the historical loop draw for draw.
   std::unique_ptr<Strategy> DefaultStrat;
   Strategy *Strat = Problem.Strat;
   if (!Strat) {

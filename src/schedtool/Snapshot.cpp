@@ -417,10 +417,15 @@ uint64_t Snapshot::seedCache(VerdictCache &Cache) const {
   return Cache.componentSize() - Before;
 }
 
-uint32_t schedtool::snapshotBaseCrc(const cfg::Config &Base) {
+std::string schedtool::encodeConfigBytes(const cfg::Config &C) {
   Enc E;
-  encodeConfig(E, Base);
-  return support::crc32(E.bytes().data(), E.bytes().size());
+  encodeConfig(E, C);
+  return E.bytes();
+}
+
+uint32_t schedtool::snapshotBaseCrc(const cfg::Config &Base) {
+  std::string Bytes = encodeConfigBytes(Base);
+  return support::crc32(Bytes.data(), Bytes.size());
 }
 
 Error schedtool::saveSnapshot(const Snapshot &S, const std::string &Path,

@@ -79,7 +79,7 @@ struct SnapshotStats {
 /// The in-memory image of a snapshot file.
 struct Snapshot {
   /// Version 2 added the strategy name + opaque strategy state to the
-  /// search-state payload (stateful metaheuristics resume mid-stream).
+  /// search-state payload (a stateful strategy resumes mid-stream).
   /// Version 3 keeps one level of cache entries: the config-entry record
   /// kind is gone, since a whole config is the one-component case of the
   /// component cache. Version 4 keys entries by the plain structural
@@ -136,9 +136,13 @@ struct Snapshot {
   uint64_t seedCache(VerdictCache &Cache) const;
 };
 
-/// CRC32 of the canonical little-endian encoding of \p Base — the
-/// config component of a snapshot's identity triple (Snapshot::BaseCrc).
-/// Cheap and host-independent.
+/// The canonical little-endian encoding of \p C, as a snapshot stores
+/// it. Two configs are structurally equal exactly when these strings are.
+std::string encodeConfigBytes(const cfg::Config &C);
+
+/// CRC32 of encodeConfigBytes(\p Base) — the config component of a
+/// snapshot's identity triple (Snapshot::BaseCrc). Cheap and
+/// host-independent.
 uint32_t snapshotBaseCrc(const cfg::Config &Base);
 
 /// Serializes \p S and atomically replaces \p Path (write-temp + fsync +

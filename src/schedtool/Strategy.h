@@ -1,4 +1,4 @@
-//===- schedtool/Strategy.h - Pluggable search metaheuristics ---*- C++ -*-===//
+//===- schedtool/Strategy.h - Pluggable search strategy ---------*- C++ -*-===//
 //
 // Part of the swa-sched project.
 //
@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The metaheuristic of the config search, refactored out of the
-/// ConfigSearch round loop so the same problem can be searched under
-/// different strategies (config_search --strategy). A Strategy owns
-/// exactly the decisions the historical loop made inline:
+/// ConfigSearch round loop behind an interface (SearchProblem::Strat), so
+/// a caller can wrap or replace it. A Strategy owns exactly the decisions
+/// the historical loop made inline:
 ///
 ///   - perturb():  how candidate J (J >= 1) of a round is derived from
 ///                 the round's incumbent, driven by the candidate's
@@ -25,9 +25,9 @@
 /// strategy's SearchResult is byte-identical run to run, for any worker
 /// count and across a checkpoint/resume.
 ///
-/// The default strategy ("local") reproduces the pre-split loop draw for
-/// draw: a search with no explicit Strategy is byte-identical to every
-/// earlier revision's result.
+/// The one built-in strategy ("local") reproduces the pre-split loop draw
+/// for draw: a search with no explicit Strategy is byte-identical to
+/// every earlier revision's result.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,14 +75,14 @@ struct RoundBest {
 };
 
 /// One metaheuristic. Stateless strategies ("local") need none of the
-/// state hooks; stateful ones (annealing temperature ladder, genetic
-/// population) serialize their state opaquely so a checkpointed search
-/// resumes the strategy mid-stream (Snapshot::StrategyState).
+/// state hooks; a stateful one serializes its state opaquely so a
+/// checkpointed search resumes the strategy mid-stream
+/// (Snapshot::StrategyState).
 class Strategy {
 public:
   virtual ~Strategy();
 
-  /// Stable identifier ("local", "annealing", "genetic"); persisted in
+  /// Stable identifier (the built-in one is "local"); persisted in
   /// checkpoints, so resuming under a different strategy is a typed
   /// SnapshotMismatch instead of a silently diverging run.
   virtual const char *name() const = 0;
@@ -115,12 +115,9 @@ public:
   virtual bool loadState(const char *Data, size_t Len);
 };
 
-/// Creates a strategy by name: "local" (the classic loop — boost
-/// resampling, occasional random rebind, greedy incumbent), "annealing"
-/// (simulated annealing on the round-best badness: worse incumbents are
-/// accepted with a probability that cools over rounds), or "genetic"
-/// (a small population of boost vectors; candidates are tournament-
-/// selected crossovers). Returns null for an unknown name.
+/// Creates the built-in strategy, "local" (the classic loop — boost
+/// resampling, occasional random rebind, greedy incumbent). Returns null
+/// for any other name.
 std::unique_ptr<Strategy> makeStrategy(const std::string &Name);
 
 } // namespace schedtool

@@ -29,6 +29,7 @@
 #include "schedtool/Snapshot.h"
 #include "schedtool/Strategy.h"
 #include "support/AtomicFile.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -360,9 +362,10 @@ TEST(DurableSearch, ForeignSnapshotIsRejectedTyped) {
   ASSERT_FALSE(R3.ok());
   EXPECT_EQ(R3.error().code(), ErrorCode::SnapshotMismatch);
 
-  // The right identity with a loop state that does not fit the base: the
-  // strategy would index Boost and Cores by partition and core counts the
-  // base fixes, so every such state is corrupt.
+  // The right identity with a loop state that does not fit the base: an
+  // incumbent that is not a binding of the base (other cores, partitions,
+  // tasks or timing), a boost or core index out of range, or strategy
+  // state the strategy rejects. Every such state is corrupt.
   auto Misfit = [&](const char *What, auto Edit) {
     SCOPED_TRACE(What);
     Snapshot S = L.value();
@@ -390,6 +393,23 @@ TEST(DurableSearch, ForeignSnapshotIsRejectedTyped) {
          [](Snapshot &S) { S.Current.Partitions[0].Core = -1; });
   Misfit("negative iteration", [](Snapshot &S) { S.Iter = -1; });
   Misfit("negative round", [](Snapshot &S) { S.NextRound = -1; });
+  Misfit("WCET changed", [](Snapshot &S) {
+    for (cfg::Partition &Part : S.Current.Partitions)
+      for (cfg::Task &T : Part.Tasks)
+        for (cfg::TimeValue &W : T.Wcet)
+          W = 1;
+  });
+  Misfit("period changed", [](Snapshot &S) {
+    cfg::Task &T = S.Current.Partitions[0].Tasks[0];
+    T.Period *= 2;
+    T.Deadline *= 2;
+  });
+  Misfit("core type changed", [](Snapshot &S) {
+    cfg::Core &C = S.Current.Cores[0];
+    C.CoreType = (C.CoreType + 1) % S.Current.NumCoreTypes;
+  });
+  Misfit("strategy state not empty for local",
+         [](Snapshot &S) { S.StrategyState = "x"; });
   std::remove(Path.c_str());
 }
 
@@ -413,23 +433,64 @@ TEST(DurableSearch, UnwritableCheckpointPathNeverChangesTheResult) {
 // Strategy checkpointing: a checkpoint records the strategy that wrote it.
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A stateful strategy for the resume contracts: the local search, with
+/// each candidate perturbed 1 + (rounds adapted so far) % 3 times. Its
+/// state, the round count, therefore changes the candidate stream, so a
+/// resume that reset it would diverge.
+class CountingStrategy final : public Strategy {
+public:
+  const char *name() const override { return "counting"; }
+
+  void perturb(Rng &PJ, const SearchProblem &P, cfg::Config &Config,
+               std::vector<double> &Boost, Mutation &M) override {
+    for (int I = 0; I <= Rounds % 3; ++I)
+      Local->perturb(PJ, P, Config, Boost, M);
+  }
+
+  void adapt(Rng &R, const SearchProblem &P, const RoundBest &Best,
+             cfg::Config &Current, std::vector<double> &Boost) override {
+    ++Rounds;
+    Local->adapt(R, P, Best, Current, Boost);
+  }
+
+  void saveState(std::string &Out) const override {
+    Out += std::to_string(Rounds);
+  }
+
+  bool loadState(const char *Data, size_t Len) override {
+    uint64_t V = 0;
+    if (!parseDecimal(std::string_view(Data, Len), V) || V > 1000000)
+      return false;
+    Rounds = static_cast<int>(V);
+    return true;
+  }
+
+private:
+  std::unique_ptr<Strategy> Local = makeStrategy("local");
+  int Rounds = 0;
+};
+
+} // namespace
+
 TEST(DurableSearch, ResumeUnderDifferentStrategyIsTypedMismatch) {
   std::string Ckpt = ::testing::TempDir() + "strategy_swap_" +
                      std::to_string(::getpid()) + ".snap";
   std::remove(Ckpt.c_str());
 
   SearchProblem P = hardProblem();
-  std::unique_ptr<Strategy> Ann = makeStrategy("annealing");
-  P.Strat = Ann.get();
+  CountingStrategy Counting;
+  P.Strat = &Counting;
   P.CheckpointPath = Ckpt;
   ASSERT_TRUE(searchConfiguration(P).ok());
 
   Result<Snapshot> S = loadSnapshot(Ckpt);
   ASSERT_TRUE(S.ok());
-  EXPECT_EQ(S->StrategyName, "annealing");
+  EXPECT_EQ(S->StrategyName, "counting");
 
-  std::unique_ptr<Strategy> Gen = makeStrategy("genetic");
-  P.Strat = Gen.get();
+  // Resume under the built-in local search.
+  P.Strat = nullptr;
   P.CheckpointPath.clear();
   P.Resume = &*S;
   Result<SearchResult> R = searchConfiguration(P);
@@ -438,39 +499,50 @@ TEST(DurableSearch, ResumeUnderDifferentStrategyIsTypedMismatch) {
   std::remove(Ckpt.c_str());
 }
 
-TEST(DurableSearch, AnnealingResumeIsByteIdentical) {
+TEST(DurableSearch, StatefulStrategyResumeIsByteIdentical) {
   // The stateful-strategy counterpart of the kill-and-resume contract:
-  // interrupt an annealing search mid-stream (simulated by running with
-  // checkpoints and resuming from a mid-run snapshot) and the final
-  // result matches the uninterrupted run — the temperature ladder
-  // resumes, not resets.
-  std::string Ckpt = ::testing::TempDir() + "anneal_resume_" +
+  // interrupt a search mid-stream (simulated by running with checkpoints
+  // and resuming from a mid-run snapshot) and the final result matches
+  // the uninterrupted run — the strategy's state resumes, not resets.
+  std::string Ckpt = ::testing::TempDir() + "stateful_resume_" +
                      std::to_string(::getpid()) + ".snap";
   std::remove(Ckpt.c_str());
 
   SearchProblem P = hardProblem();
-  std::unique_ptr<Strategy> A1 = makeStrategy("annealing");
-  P.Strat = A1.get();
+  CountingStrategy C1;
+  P.Strat = &C1;
   Result<SearchResult> Ref = searchConfiguration(P);
   ASSERT_TRUE(Ref.ok());
 
   // Interrupted run: 2 of 3 rounds, then resume the rest.
   SearchProblem Half = hardProblem();
   Half.MaxIterations = 8;
-  std::unique_ptr<Strategy> A2 = makeStrategy("annealing");
-  Half.Strat = A2.get();
+  CountingStrategy C2;
+  Half.Strat = &C2;
   Half.CheckpointPath = Ckpt;
   ASSERT_TRUE(searchConfiguration(Half).ok());
 
   Result<Snapshot> S = loadSnapshot(Ckpt);
   ASSERT_TRUE(S.ok());
+  EXPECT_EQ(S->StrategyState, "2");
   SearchProblem Rest = hardProblem();
-  std::unique_ptr<Strategy> A3 = makeStrategy("annealing");
-  Rest.Strat = A3.get();
+  CountingStrategy C3;
+  Rest.Strat = &C3;
   Rest.Resume = &*S;
   Result<SearchResult> Resumed = searchConfiguration(Rest);
   ASSERT_TRUE(Resumed.ok());
   EXPECT_EQ(encodeSearchResultBytes(*Resumed), encodeSearchResultBytes(*Ref));
+
+  // The state matters: the same resume with the count reset diverges.
+  Snapshot Reset = *S;
+  Reset.StrategyState = "0";
+  CountingStrategy C4;
+  Rest.Strat = &C4;
+  Rest.Resume = &Reset;
+  Result<SearchResult> Diverged = searchConfiguration(Rest);
+  ASSERT_TRUE(Diverged.ok());
+  EXPECT_NE(encodeSearchResultBytes(*Diverged),
+            encodeSearchResultBytes(*Ref));
   std::remove(Ckpt.c_str());
 }
 
@@ -487,7 +559,8 @@ TEST(ConfigSearchCli, RejectsUnknownArguments) {
        {"--no-cache", "--bogus-flag", "7x", "--fleet 4",
         "--portfolio local,genetic", "--fleet-worker d", "--workers abc",
         "--workers -2", "--workers 0", "--workers 257", "--budget-ms -5",
-        "--checkpoint-every-ms x"}) {
+        "--checkpoint-every-ms x", "--strategy local",
+        "--strategy annealing"}) {
     std::string Cmd = std::string(SWA_CONFIG_SEARCH_BIN) + " " + Arg +
                       " >/dev/null 2>&1";
     int Status = std::system(Cmd.c_str());

@@ -12,6 +12,7 @@
 
 #include "analysis/Analyzer.h"
 #include "gen/Workload.h"
+#include "sa/Compile.h"
 #include "support/Rng.h"
 #include "usl/Binder.h"
 #include "usl/Compiler.h"
@@ -262,6 +263,39 @@ TEST(Vm, WholeSimulationMatchesInterpreter) {
   EXPECT_TRUE(
       analysis::jobTracesEquivalent(Compiled->Analysis, Analysis));
   EXPECT_EQ(Compiled->Analysis.Schedulable, Analysis.Schedulable);
+}
+
+TEST(Vm, CompileErrorsNameTheirSite) {
+  // compileNetwork names a site it cannot compile by its automaton and
+  // kind, and stops at the first such site in walk order (invariants
+  // before guards).
+  cfg::Config C = gen::industrialConfig({.Modules = 1,
+                                         .PartitionsPerCore = 1,
+                                         .Seed = 17});
+  auto Model = core::buildModel(C);
+  ASSERT_TRUE(Model.ok()) << Model.error().message();
+  sa::Automaton &A = *Model->Net->Automata.front();
+  ASSERT_FALSE(A.Locations.empty());
+  ASSERT_FALSE(A.Edges.empty());
+  auto Unbound = [] {
+    auto E = std::make_unique<Expr>();
+    E->Kind = ExprKind::VarRef;
+    return E;
+  };
+
+  A.Edges.front().DataGuard = Unbound();
+  Error Guard = sa::compileNetwork(*Model->Net);
+  ASSERT_TRUE(Guard);
+  EXPECT_EQ(Guard.message().rfind("compiling " + A.Name + " guard: ", 0), 0u)
+      << Guard.message();
+
+  A.Locations.front().DataInvariant = Unbound();
+  Error Invariant = sa::compileNetwork(*Model->Net);
+  ASSERT_TRUE(Invariant);
+  EXPECT_EQ(
+      Invariant.message().rfind("compiling " + A.Name + " invariant: ", 0),
+      0u)
+      << Invariant.message();
 }
 
 int main(int argc, char **argv) {
